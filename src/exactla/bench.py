@@ -11,9 +11,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import registry
-from .errors import ConfigError, InvalidGroupParams
+from .errors import ConfigError, InvalidGroupParams, Unsupported
 from .matrix import DenseMatrix
-from .rings import (QQ, ZZ, CountingRing, MultiPolynomialRing, OpStats,
+from .rings import (ZZ, CountingRing, MultiPolynomialRing, OpStats,
                     PolynomialRing, QuotientRing)
 from .rng import Rng
 
@@ -54,12 +54,15 @@ def group_ring(case):
     if g == 2:
         return MultiPolynomialRing(None, ("x", "y"))
     if g == 3:
-        p = int(case.param("p", 7))
-        varnames = [v.strip() for v in str(case.param("vars", "x")).split(",")]
-        helper = MultiPolynomialRing(p, varnames)
-        ideal_lit = str(case.param("ideal", "1*x^3+-1"))
-        gens = [helper.parse(t) for t in ideal_lit.split(";")]
-        return QuotientRing(p, varnames, gens)
+        try:
+            p = int(case.param("p", 7))
+            varnames = [v.strip() for v in str(case.param("vars", "x")).split(",")]
+            helper = MultiPolynomialRing(p, varnames)
+            ideal_lit = str(case.param("ideal", "1*x^3+-1"))
+            gens = [helper.parse(t) for t in ideal_lit.split(";")]
+            return QuotientRing(p, varnames, gens)
+        except ValueError as e:
+            raise InvalidGroupParams("group-3 ring parameters: %s" % e)
     if g == 4:
         return PolynomialRing(ZZ, "x")
     raise InvalidGroupParams("group must be 1..5, got %r" % (g,))
@@ -142,21 +145,18 @@ def cross_validate(a, algos=None):
     reference = None
     for algo_id in (algos or registry.ids()):
         algo = registry.get(algo_id)
-        mat = a
-        reason = algo.applicable(ring, n)
-        if reason is not None and algo.id == "hessenberg" and ring is ZZ:
-            mat, reason = _lift_to_q(a), None
+        lift, reason = algo.plan(ring, n)
         if reason is not None:
             report.entries.append(ValidationEntry(algo_id, reason))
             continue
         try:
-            cp = algo.run(mat)
-        except NotImplementedError as e:
+            cp = algo.run(a if lift is None else a.with_ring(*lift))
+        except Unsupported as e:
             # declared applicable but outside this build's support
             # (e.g. the Frobenius block fallback over a multivariate ring)
             report.entries.append(ValidationEntry(algo_id, "unsupported: %s" % e))
             continue
-        digest = cp.digest() if mat is a else _digest_in_base(cp, ring)
+        digest = cp.digest() if lift is None else _digest_in_base(cp, ring)
         report.entries.append(ValidationEntry(algo_id, "ok", digest, cp))
         if reference is None:
             reference = (algo_id, digest)
@@ -164,11 +164,6 @@ def cross_validate(a, algos=None):
             report.unanimous = False
             report.disagreement = (reference[0], algo_id)
     return report
-
-
-def _lift_to_q(a):
-    from fractions import Fraction
-    return a.with_ring(QQ, Fraction)
 
 
 def _digest_in_base(cp, base_ring):
@@ -198,25 +193,18 @@ def run_case(case):
         ring = counted
         a = generate_matrix(case, ring)
     algo = registry.get(case.algo)
-    reason = algo.applicable(entry_ring, case.n)
-    mat = a
-    if reason is not None and case.algo == "hessenberg" and case.group in (1, 5):
-        mat = _lift_to_q_counted(a)
-        counted = mat.ring
-        reason = None
+    lift, reason = algo.plan(entry_ring, case.n)
     if reason is not None:
         raise InvalidGroupParams("%s not applicable: %s" % (case.algo, reason))
+    if lift is not None:
+        field, embed = lift
+        counted = CountingRing(field, track_bits=True)
+        a = a.with_ring(counted, embed)
     t0 = time.perf_counter()
-    cp = algo.run(mat)
+    cp = algo.run(a)
     ms = (time.perf_counter() - t0) * 1000.0
-    digest = cp.digest() if mat is a else _digest_in_base(cp, ZZ)
+    digest = cp.digest() if lift is None else _digest_in_base(cp, entry_ring)
     return BenchRecord(case, entry_ring.name, ms, counted.stats, counted.max_bits, digest)
-
-
-def _lift_to_q_counted(a):
-    from fractions import Fraction
-    counted = CountingRing(QQ, track_bits=True)
-    return a.with_ring(counted, lambda x: Fraction(x))
 
 
 CSV_COLUMNS = "group,n,seed,algo,ring,ms,adds,subs,muls,divs,exact_divs,max_bits,digest"
@@ -262,9 +250,7 @@ def run_benchmark(cfg):
                 digests = {}
                 for algo in algos:
                     case = BenchCase(g, n, seed, algo, params)
-                    entry_ring = group_ring(case)
-                    if registry.get(algo).applicable(entry_ring, n) is not None \
-                            and not (algo == "hessenberg" and g in (1, 5)):
+                    if registry.get(algo).plan(group_ring(case), n)[1] is not None:
                         continue
                     rec = run_case(case)
                     records.append(rec)

@@ -7,11 +7,13 @@ P_A(X) = det(A - X*I) with leading coefficient p_0 = (-1)^n.
 
 import hashlib
 import math
+from itertools import count, islice
 
 from . import poly
-from .elimination import (_jorbarsol_rows, det_field, det_fraction_free,
-                          jordan_bareiss)
-from .errors import AdjointVanishes, ExactDivisionFailed, IntegerNotInvertible
+from .elimination import (EchelonBasis, _jorbarsol_rows, det_field,
+                          det_fraction_free, jordan_bareiss)
+from .errors import (NOT_A_UNIT, AdjointVanishes, ExactDivisionFailed,
+                     IntegerNotInvertible)
 from .matrix import DenseMatrix, mat_mul
 from .rings import QQ, ZZ, FractionField, PolynomialRing, SeriesRing
 
@@ -36,19 +38,10 @@ class CharPoly:
         """det(A)."""
         return self.coeffs[-1]
 
-    def trace_term(self):
-        return self.coeffs[1] if self.n >= 1 else self.ring.zero
-
     def eq(self, other):
         if self.n != other.n:
             return False
         return all(self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
-
-    def eval_at(self, x):
-        acc = self.ring.zero
-        for c in self.coeffs:
-            acc = self.ring.add(self.ring.mul(acc, x), c)
-        return acc
 
     def digest(self):
         text = ";".join(self.ring.format(c) for c in self.coeffs)
@@ -194,21 +187,46 @@ def _check_int_divisions(ring, n):
             "ring %s cannot divide by the integers 1..%d" % (ring.name, n))
 
 
+def _horner(a, coeff):
+    """(c_k, B_k) for k = 1, 2, ... of the Horner scheme B_0 = I,
+    B_k = B_{k-1}*A - c_k*I, where c_k = coeff(k, B_{k-1}*A).  The first
+    step takes B_0*A = A as is, without a product."""
+    ring = a.ring
+    n = a.rows
+    b = None
+    for k in count(1):
+        c = a if k == 1 else mat_mul(b, a, "classical")
+        ck = coeff(k, c)
+        b = DenseMatrix(ring, n, n, list(c.entries))
+        for i in range(n):
+            b.entries[i * n + i] = ring.sub(b.entries[i * n + i], ck)
+        yield ck, b
+
+
+def _trace_coeff(ring):
+    """Faddeev's c_k = Tr(B_{k-1}*A) / k."""
+    return lambda k, c: ring.div_by_int(c.trace(), k)
+
+
+def _trace_of_product(ring, x, y):
+    """Tr(X*Y) in 2n^2 - 1 operations: each diagonal entry of X*Y, then
+    their sum."""
+    tr = None
+    for i in range(x.rows):
+        d = _dot_row(ring, x.row(i), y.col(i), x.cols, None)
+        tr = d if tr is None else ring.add(tr, d)
+    return tr
+
+
 def faddeev_sequence(a):
-    """All B_k and c_k of the Horner scheme B_k = A*B_{k-1} - c_k*I."""
+    """All B_k and c_k of the Horner scheme B_k = B_{k-1}*A - c_k*I."""
     ring = a.ring
     n = a.rows
     _check_int_divisions(ring, n)
     bmats = [DenseMatrix.identity(ring, n)]
     cs = []
-    b = bmats[0]
-    for k in range(1, n + 1):
-        c = a if k == 1 else mat_mul(b, a, "classical")
-        ck = ring.div_by_int(c.trace(), k)
+    for ck, b in islice(_horner(a, _trace_coeff(ring)), n):
         cs.append(ck)
-        b = DenseMatrix(ring, n, n, list(c.entries))
-        for i in range(n):
-            b.entries[i * n + i] = ring.sub(b.entries[i * n + i], ck)
         bmats.append(b)
     return bmats, cs
 
@@ -220,33 +238,20 @@ def charpoly_faddeev(a, compute_inverse=True):
     _check_int_divisions(ring, n)
     b = DenseMatrix.identity(ring, n)
     cs = []
-    for k in range(1, n):
-        c = a if k == 1 else mat_mul(b, a, "classical")
-        ck = ring.div_by_int(c.trace(), k)
+    for ck, b in islice(_horner(a, _trace_coeff(ring)), n - 1):
         cs.append(ck)
-        b = DenseMatrix(ring, n, n, list(c.entries))
-        for i in range(n):
-            b.entries[i * n + i] = ring.sub(b.entries[i * n + i], ck)
     # only the diagonal of B_{n-1} * A is needed for the last coefficient
-    diag = []
-    for i in range(n):
-        acc = ring.mul(b.at(i, 0), a.at(0, i))
-        for k in range(1, n):
-            acc = ring.add(acc, ring.mul(b.at(i, k), a.at(k, i)))
-        diag.append(acc)
-    tr = diag[0]
-    for i in range(1, n):
-        tr = ring.add(tr, diag[i])
-    cs.append(ring.div_by_int(tr, n))
+    cs.append(ring.div_by_int(_trace_of_product(ring, b, a), n))
     cp = _from_monic_tail(ring, cs[::-1], n)
     adjoint = b if (n - 1) % 2 == 0 else b.neg()
     inverse = None
     if compute_inverse:
         try:
             dinv = ring.inverse_of_unit(cs[-1])
+        except NOT_A_UNIT:
+            pass            # det(A) is not a unit: A has no inverse
+        else:
             inverse = b.scale(dinv)
-        except Exception:
-            inverse = None
     return cp, adjoint, inverse
 
 
@@ -261,16 +266,7 @@ def charpoly_leverrier(a):
         pw = mat_mul(a, pw, "classical")
         traces[k] = pw.trace()
     if n >= 2:
-        diag = []
-        for i in range(n):
-            acc = ring.mul(a.at(i, 0), pw.at(0, i))
-            for k in range(1, n):
-                acc = ring.add(acc, ring.mul(a.at(i, k), pw.at(k, i)))
-            diag.append(acc)
-        tr = diag[0]
-        for i in range(1, n):
-            tr = ring.add(tr, diag[i])
-        traces[n] = tr
+        traces[n] = _trace_of_product(ring, a, pw)
     cs = newton_convert("sums_to_coeffs", traces[1:], n, ring)
     return _from_monic_tail(ring, cs[::-1], n)
 
@@ -334,22 +330,11 @@ def charpoly_preparata_sarwate(a):
         for j in range(1, r):
             m = j * r + i
             if m <= n and s[m] is None:
-                s[m] = _trace_product(ring, bpow[i], cpow[j])
+                s[m] = _trace_of_product(ring, bpow[i], cpow[j])
     if n == r * r and n > 1:
-        s[n] = _trace_product(ring, cpow[1], cpow[r - 1])
+        s[n] = _trace_of_product(ring, cpow[1], cpow[r - 1])
     cs = newton_convert("sums_to_coeffs", s[1:], n, ring)
     return _from_monic_tail(ring, cs[::-1], n)
-
-
-def _trace_product(ring, x, y):
-    """Tr(X*Y) = sum_{k,l} x_kl y_lk in 2n^2 - 1 operations."""
-    n = x.rows
-    acc = None
-    for k in range(n):
-        for l in range(n):
-            t = ring.mul(x.at(k, l), y.at(l, k))
-            acc = t if acc is None else ring.add(acc, t)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -404,29 +389,16 @@ def charpoly_hessenberg(a):
 # modified Jordan-Bareiss (characteristic matrix, any commutative ring)
 
 def charpoly_bareiss_modified(a):
+    """det(A - X*I): the last bordered minor of the Jordan-Bareiss tableau
+    of the characteristic matrix over R[X]."""
     ring = a.ring
     n = a.rows
     pr = PolynomialRing(ring, "X")
-    w = []
+    chm = a.with_ring(pr, pr.from_base)
     for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append((a.at(i, j), ring.neg(ring.one)))
-            else:
-                row.append(pr.from_base(a.at(i, j)))
-        w.append(row)
-    den = pr.one
-    for p in range(n - 1):
-        piv = w[p][p]
-        for i in range(p + 1, n):
-            coe = w[i][p]
-            for j in range(p + 1, n):
-                t = pr.sub(pr.mul(piv, w[i][j]), pr.mul(coe, w[p][j]))
-                w[i][j] = pr.exact_div(t, den)
-        den = piv
-    asc = list(w[n - 1][n - 1])
-    return _sign_normalize(ring, asc, n)
+        chm.entries[i * n + i] = (a.at(i, i), ring.neg(ring.one))
+    corner = jordan_bareiss(chm).matrix.at(n - 1, n - 1)
+    return _sign_normalize(ring, list(corner), n)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +408,14 @@ def charpoly_interpolation(a):
     ring = a.ring
     n = a.rows
     _check_int_divisions(ring, n)
-    values = [_det_backend(a)]
+    values = [determinant(a)]
     for k in range(1, n + 1):
         kk = ring.from_int(k)
         shifted = DenseMatrix(ring, n, n, list(a.entries))
         for i in range(n):
             idx = i * n + i
             shifted.entries[idx] = ring.sub(shifted.entries[idx], kk)
-        values.append(_det_backend(shifted))
+        values.append(determinant(shifted))
     # Newton forward differences: P(X) = sum_k  (D^k d0 / k!) X(X-1)..(X-k+1)
     diffs = [values[0]]
     work = list(values)
@@ -462,7 +434,8 @@ def charpoly_interpolation(a):
     return _sign_normalize(ring, acc, n)
 
 
-def _det_backend(m):
+def determinant(m):
+    """det(m) by the cheapest method the ring allows."""
     spec = m.ring.spec
     if spec.is_field:
         return det_field(m)
@@ -476,12 +449,10 @@ def _det_backend(m):
 # Frobenius (Krylov / companion blocks)
 
 def charpoly_frobenius(a):
-    ring = a.ring
-    n = a.rows
     try:
         return _frobenius_simple(a)
     except ExactDivisionFailed:
-        pass
+        pass                # e_1 does not generate: Krylov blocks
     return _frobenius_blocks(a)
 
 
@@ -499,8 +470,7 @@ def _frobenius_simple(a):
         v = [_dot_row(ring, rows[i], v, n, None) for i in range(n)]
         for i in range(n):
             w[i][k] = v[i]
-    coeffs, _ = _jorbarsol_rows(ring, w, skip_first_pivot=True)
-    return _from_monic_tail(ring, coeffs, n)
+    return _from_monic_tail(ring, _jorbarsol_rows(ring, w, skip_first_pivot=True), n)
 
 
 def frobenius_block_polynomials(a):
@@ -511,33 +481,22 @@ def frobenius_block_polynomials(a):
     n = a.rows
     field, into, back = _field_of_fractions(ring)
     arows = [[into(x) for x in row] for row in a.to_rows()]
-    basis = []          # accepted vectors, in order
-    blocks = []         # (start, size, tail coefficients within the block)
+    basis = EchelonBasis(field)
+    tails = []          # per block: the y_j of A^size v = sum_j y_j A^j v
     seed_from = 0
     while len(basis) < n:
-        seed = None
+        start = len(basis)
         for i in range(seed_from, n):
-            e = [field.one if k == i else field.zero for k in range(n)]
-            if _express(field, basis, e) is None:
-                seed = e
+            v = [field.one if k == i else field.zero for k in range(n)]
+            if basis.insert(v):
                 seed_from = i + 1
                 break
-        start = len(basis)
-        v = seed
-        basis.append(v)
         while True:
             v = [_dot_row(field, arows[i], v, n, None) for i in range(n)]
-            y = _express(field, basis, v)
-            if y is None:
-                basis.append(v)
-            else:
-                blocks.append((start, len(basis) - start, y[start:]))
+            if not basis.insert(v):
+                tails.append(basis.express(v)[start:])
                 break
-    out = []
-    for start, size, tail in blocks:
-        monic = [field.neg(t) for t in tail] + [field.one]
-        out.append([back(c) for c in monic])
-    return out
+    return [[back(field.neg(t)) for t in tail] + [back(field.one)] for tail in tails]
 
 
 def _frobenius_blocks(a):
@@ -569,43 +528,6 @@ def _field_of_fractions(ring):
         num, den = fr
         return ring.exact_div(num, den)
     return ff, ff.from_base, back
-
-
-def _express(field, basis, w):
-    """Coefficients y with sum y_j basis_j = w, or None if independent."""
-    if not basis:
-        return None if any(not field.is_zero(x) for x in w) else []
-    n = len(w)
-    m = len(basis)
-    cols = [list(b) for b in basis] + [list(w)]
-    # row echelon on the n x (m+1) system
-    mat = [[cols[j][i] for j in range(m + 1)] for i in range(n)]
-    piv_rows = []
-    row_used = [False] * n
-    for col in range(m):
-        sel = None
-        for i in range(n):
-            if not row_used[i] and not field.is_zero(mat[i][col]):
-                sel = i
-                break
-        if sel is None:
-            # basis vectors are independent by construction; this cannot happen
-            raise ExactDivisionFailed("degenerate basis in Frobenius reduction")
-        row_used[sel] = True
-        piv_rows.append(sel)
-        piv = mat[sel][col]
-        for i in range(n):
-            if i != sel and not field.is_zero(mat[i][col]):
-                f = field.div(mat[i][col], piv)
-                for j in range(col, m + 1):
-                    mat[i][j] = field.sub(mat[i][j], field.mul(f, mat[sel][j]))
-    for i in range(n):
-        if not row_used[i] and not field.is_zero(mat[i][m]):
-            return None
-    y = []
-    for col, sel in enumerate(piv_rows):
-        y.append(field.div(mat[sel][m], mat[sel][col]))
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -767,26 +689,19 @@ def strassen_count(nu):
 
 def adjoint_from_charpoly(a, cp):
     """Horner evaluation of Adj(X*I - A) at the tail: (-1)^(n-1) B_{n-1}."""
-    ring = a.ring
     n = a.rows
-    cs = _cs_from_charpoly(ring, cp)
-    b = DenseMatrix.identity(ring, n)
-    for k in range(1, n):
-        b = mat_mul(a, b, "classical")
-        ck = cs[k - 1]
-        for i in range(n):
-            b.entries[i * n + i] = ring.sub(b.entries[i * n + i], ck)
+    b = _horner_from_charpoly(a, cp)[-1]
     return b if (n - 1) % 2 == 0 else b.neg()
 
 
-def _cs_from_charpoly(ring, cp):
-    """c_k of the monic (-1)^n P_A = X^n - [c_1 X^(n-1) + ... + c_n]."""
-    n = cp.n
-    out = []
-    for k in range(1, n + 1):
-        pk = cp.coeffs[k]
-        out.append(ring.neg(pk) if n % 2 == 0 else pk)
-    return out
+def _horner_from_charpoly(a, cp):
+    """B_0..B_{n-1}, with the c_k of the monic (-1)^n P_A =
+    X^n - [c_1 X^(n-1) + ... + c_n] read off cp."""
+    ring = a.ring
+    n = a.rows
+    cs = [cp.coeffs[k] if n % 2 else ring.neg(cp.coeffs[k]) for k in range(1, n + 1)]
+    steps = islice(_horner(a, lambda k, c: cs[k - 1]), n - 1)
+    return [DenseMatrix.identity(ring, n)] + [b for _, b in steps]
 
 
 def eigenvector_simple(a, lam, cp=None):
@@ -799,15 +714,7 @@ def eigenvector_simple(a, lam, cp=None):
     n = a.rows
     if cp is None:
         cp = charpoly_berkowitz(a)
-    cs = _cs_from_charpoly(ring, cp)
-    bmats = [DenseMatrix.identity(ring, n)]
-    b = bmats[0]
-    for k in range(1, n):
-        b = mat_mul(a, b, "classical")
-        b = DenseMatrix(ring, n, n, list(b.entries))
-        for i in range(n):
-            b.entries[i * n + i] = ring.sub(b.entries[i * n + i], cs[k - 1])
-        bmats.append(b)
+    bmats = _horner_from_charpoly(a, cp)
     for col in range(n):
         v = [ring.one if i == col else ring.zero for i in range(n)]
         for k in range(1, n):

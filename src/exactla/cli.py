@@ -8,10 +8,10 @@ import argparse
 import sys
 
 from . import bench, registry
+from .charpoly import determinant
 from .errors import ExactLAError
 from .matrix import parse_matrix
 from .modular import det_modular
-from .elimination import det_fraction_free, det_field
 
 
 def _read_matrix(path):
@@ -25,11 +25,11 @@ def cmd_charpoly(args):
         print("error: charpoly needs a square matrix", file=sys.stderr)
         return 1
     algo = registry.get(args.algo)
-    reason = algo.applicable(m.ring, m.rows)
+    lift, reason = algo.plan(m.ring, m.rows)
     if reason is not None:
         print("error: %s" % reason, file=sys.stderr)
         return 1
-    cp = algo.run(m)
+    cp = algo.run(m if lift is None else m.with_ring(*lift))
     print(cp.format())
     return 0
 
@@ -46,13 +46,7 @@ def cmd_det(args):
             return 1
         print(det_modular(m))
         return 0
-    if ring.spec.is_field:
-        print(ring.format(det_field(m)))
-    elif ring.spec.is_integral_domain and ring.spec.has_exact_division:
-        print(ring.format(det_fraction_free(m)))
-    else:
-        from .charpoly import charpoly_berkowitz
-        print(ring.format(charpoly_berkowitz(m).constant_term()))
+    print(ring.format(determinant(m)))
     return 0
 
 
@@ -133,10 +127,7 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ExactLAError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ExactLAError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

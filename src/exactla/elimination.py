@@ -1,7 +1,9 @@
 """Pivot-based decompositions: Gauss LU / LUP, fraction-free
 Jordan-Bareiss, Dodgson condensation for Hankel matrices, the JorBarSol
-dependence solver, and the Bunch-Hopcroft recursive LUP."""
+dependence solver, the Bunch-Hopcroft recursive LUP, and an incremental
+echelon basis over a field."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, ExactDivisionFailed, NotDivisible,
@@ -63,16 +65,13 @@ def gauss_lu(a):
     w = a.to_rows()
     q = min(m, n)
     rank = q
-    for p in range(q):
-        piv = w[p][p]
-        if ring.is_zero(piv):
-            rank = p
-            break
-        for i in range(p + 1, m):
-            w[i][p] = _pivot_div(ring, w[i][p], piv)
-            lip = w[i][p]
-            for j in range(p + 1, n):
-                w[i][j] = ring.sub(w[i][j], ring.mul(lip, w[p][j]))
+    divide = ring.div if ring.spec.is_field else ring.exact_div
+    with _exact_division():
+        for p in range(q):
+            if ring.is_zero(w[p][p]):
+                rank = p
+                break
+            _gauss_step(ring, w, p, divide)
     lmat = DenseMatrix.identity(ring, m)
     umat = DenseMatrix.zeros(ring, m, n)
     for i in range(m):
@@ -84,13 +83,53 @@ def gauss_lu(a):
     return LUFactors(lmat, umat, rank)
 
 
-def _pivot_div(ring, a, piv):
-    if ring.spec.is_field:
-        return ring.div(a, piv)
+@contextmanager
+def _exact_division():
+    """Reports a division that leaves the ring as ExactDivisionFailed."""
     try:
-        return ring.exact_div(a, piv)
+        yield
     except (NotDivisible, ZeroDivisor) as e:
         raise ExactDivisionFailed(str(e))
+
+
+def _gauss_step(ring, w, p, divide):
+    """Eliminate column p below row p, keeping each multiplier in w[i][p]."""
+    rp = w[p]
+    piv = rp[p]
+    mul, sub = ring.mul, ring.sub
+    for i in range(p + 1, len(w)):
+        wi = w[i]
+        c = wi[p] = divide(wi[p], piv)
+        for j in range(p + 1, len(rp)):
+            wi[j] = sub(wi[j], mul(c, rp[j]))
+
+
+def _bareiss_step(ring, w, p, den):
+    """One fraction-free step below pivot row p (Sylvester's identity):
+    w[i][j] = (piv*w[i][j] - w[i][p]*w[p][j]) / den for j > p.  Returns
+    the pivot, the next step's denominator."""
+    rp = w[p]
+    piv = rp[p]
+    mul, sub, exact_div = ring.mul, ring.sub, ring.exact_div
+    with _exact_division():
+        for i in range(p + 1, len(w)):
+            wi = w[i]
+            coe = wi[p]
+            for j in range(p + 1, len(rp)):
+                wi[j] = exact_div(sub(mul(piv, wi[j]), mul(coe, rp[j])), den)
+    return piv
+
+
+def _row_pivot(ring, w, p):
+    """Bring a row with a nonzero entry in column p up to row p.  Returns
+    the sign of the row exchange (1 or -1), or 0 when there is none."""
+    if not ring.is_zero(w[p][p]):
+        return 1
+    for i in range(p + 1, len(w)):
+        if not ring.is_zero(w[i][p]):
+            w[p], w[i] = w[i], w[p]
+            return -1
+    return 0
 
 
 def lup_surjective(a):
@@ -114,12 +153,7 @@ def lup_surjective(a):
                 row[p], row[j] = row[j], row[p]
             perm[p], perm[j] = perm[j], perm[p]
             sign = -sign
-        piv = w[p][p]
-        for i in range(p + 1, m):
-            w[i][p] = ring.div(w[i][p], piv)
-            lip = w[i][p]
-            for jj in range(p + 1, n):
-                w[i][jj] = ring.sub(w[i][jj], ring.mul(lip, w[p][jj]))
+        _gauss_step(ring, w, p, ring.div)
     lmat = DenseMatrix.identity(ring, m)
     umat = DenseMatrix.zeros(ring, m, n)
     for i in range(m):
@@ -199,25 +233,15 @@ def jordan_bareiss(a):
     """Fraction-free elimination without pivot search (integral domain
     with exact division); returns the tableau of bordered minors."""
     ring = a.ring
-    m, n = a.rows, a.cols
     w = a.to_rows()
-    q = min(m, n)
+    q = min(a.rows, a.cols)
     rank = q
     den = ring.one
     for p in range(q - 1):
-        piv = w[p][p]
-        if ring.is_zero(piv):
+        if ring.is_zero(w[p][p]):
             rank = p
             break
-        for i in range(p + 1, m):
-            coe = w[i][p]
-            for j in range(p + 1, n):
-                t = ring.sub(ring.mul(piv, w[i][j]), ring.mul(coe, w[p][j]))
-                try:
-                    w[i][j] = ring.exact_div(t, den)
-                except (NotDivisible, ZeroDivisor) as e:
-                    raise ExactDivisionFailed(str(e))
-        den = piv
+        den = _bareiss_step(ring, w, p, den)
     else:
         if q > 0 and ring.is_zero(w[q - 1][q - 1]):
             rank = q - 1
@@ -238,24 +262,11 @@ def det_fraction_free(a):
     den = ring.one
     sign = 1
     for p in range(n - 1):
-        if ring.is_zero(w[p][p]):
-            for i in range(p + 1, n):
-                if not ring.is_zero(w[i][p]):
-                    w[p], w[i] = w[i], w[p]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero
-        piv = w[p][p]
-        for i in range(p + 1, n):
-            coe = w[i][p]
-            for j in range(p + 1, n):
-                t = ring.sub(ring.mul(piv, w[i][j]), ring.mul(coe, w[p][j]))
-                try:
-                    w[i][j] = ring.exact_div(t, den)
-                except (NotDivisible, ZeroDivisor) as e:
-                    raise ExactDivisionFailed(str(e))
-        den = piv
+        s = _row_pivot(ring, w, p)
+        if not s:
+            return ring.zero
+        sign *= s
+        den = _bareiss_step(ring, w, p, den)
     d = w[n - 1][n - 1]
     return ring.neg(d) if sign < 0 else d
 
@@ -269,19 +280,11 @@ def det_field(a):
     w = a.to_rows()
     sign = 1
     for p in range(n - 1):
-        if ring.is_zero(w[p][p]):
-            for i in range(p + 1, n):
-                if not ring.is_zero(w[i][p]):
-                    w[p], w[i] = w[i], w[p]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero
-        piv = w[p][p]
-        for i in range(p + 1, n):
-            c = ring.div(w[i][p], piv)
-            for j in range(p + 1, n):
-                w[i][j] = ring.sub(w[i][j], ring.mul(c, w[p][j]))
+        s = _row_pivot(ring, w, p)
+        if not s:
+            return ring.zero
+        sign *= s
+        _gauss_step(ring, w, p, ring.div)
     det = w[0][0]
     for i in range(1, n):
         det = ring.mul(det, w[i][i])
@@ -323,26 +326,24 @@ def dodgson_hankel(first_coeffs, m, n, ring):
     table = HankelMinorTable(ring, m, n)
     table.rows.append([ring.one] * (m + n - 1))
     table.rows.append(list(first_coeffs))
-    for r in range(1, q):
-        prev = table.rows[r]
-        above = table.rows[r - 1]
-        out = []
-        for j in range(r + 1, m + n - r):
-            tl = prev[j - 1 - r]        # t_{r, j-1}
-            tc = prev[j - r]            # t_{r, j}
-            tr = prev[j + 1 - r]        # t_{r, j+1}
-            if r == 1:
-                dn = above[j - 1]       # row 0 starts at j = 1
-            else:
-                dn = above[j - (r - 1)]
-            if ring.is_zero(dn):
-                raise ZeroConnectedMinor("zero connected minor of order %d at j=%d" % (r - 1, j))
-            t = ring.sub(ring.mul(tl, tr), ring.mul(tc, tc))
-            try:
+    with _exact_division():
+        for r in range(1, q):
+            prev = table.rows[r]
+            above = table.rows[r - 1]
+            out = []
+            for j in range(r + 1, m + n - r):
+                tl = prev[j - 1 - r]        # t_{r, j-1}
+                tc = prev[j - r]            # t_{r, j}
+                tr = prev[j + 1 - r]        # t_{r, j+1}
+                if r == 1:
+                    dn = above[j - 1]       # row 0 starts at j = 1
+                else:
+                    dn = above[j - (r - 1)]
+                if ring.is_zero(dn):
+                    raise ZeroConnectedMinor("zero connected minor of order %d at j=%d" % (r - 1, j))
+                t = ring.sub(ring.mul(tl, tr), ring.mul(tc, tc))
                 out.append(ring.exact_div(t, dn))
-            except (NotDivisible, ZeroDivisor) as e:
-                raise ExactDivisionFailed(str(e))
-        table.rows.append(out)
+            table.rows.append(out)
     return table
 
 
@@ -351,8 +352,7 @@ def jorbarsol(a):
     regular n x (n+1) matrix over a domain with exact division."""
     if a.cols != a.rows + 1:
         raise DimensionMismatch("JorBarSol expects an n x (n+1) matrix")
-    coeffs, _ = _jorbarsol_rows(a.ring, a.to_rows(), skip_first_pivot=False)
-    return coeffs
+    return _jorbarsol_rows(a.ring, a.to_rows(), skip_first_pivot=False)
 
 
 def _jorbarsol_rows(ring, w, skip_first_pivot):
@@ -363,31 +363,73 @@ def _jorbarsol_rows(ring, w, skip_first_pivot):
     the Frobenius algorithm builds its Krylov matrix.
     """
     n = len(w)
-    m = n + 1
     den = ring.one
-    start = 1 if skip_first_pivot else 0
-    try:
-        for p in range(start, n - 1):
-            piv = w[p][p]
-            if ring.is_zero(piv):
-                raise ExactDivisionFailed("zero pivot at step %d" % (p + 1,))
-            for i in range(p + 1, n):
-                coe = w[i][p]
-                for j in range(p + 1, m):
-                    t = ring.sub(ring.mul(piv, w[i][j]), ring.mul(coe, w[p][j]))
-                    w[i][j] = ring.exact_div(t, den)
-            den = piv
-        coeffs = [ring.zero] * n
+    for p in range(1 if skip_first_pivot else 0, n - 1):
+        if ring.is_zero(w[p][p]):
+            raise ExactDivisionFailed("zero pivot at step %d" % (p + 1,))
+        den = _bareiss_step(ring, w, p, den)
+    coeffs = [ring.zero] * n
+    with _exact_division():
         for p in range(n - 1, -1, -1):
             if p == 0 and skip_first_pivot:
                 lp = w[0][n]
             else:
                 if ring.is_zero(w[p][p]):
                     raise ExactDivisionFailed("zero pivot at step %d" % (p + 1,))
-                lp = ring.exact_div(w[p][m - 1], w[p][p])
+                lp = ring.exact_div(w[p][n], w[p][p])
             coeffs[p] = lp
             for i in range(p):
-                w[i][m - 1] = ring.sub(w[i][m - 1], ring.mul(lp, w[i][p]))
-    except (NotDivisible, ZeroDivisor) as e:
-        raise ExactDivisionFailed(str(e))
-    return coeffs, w
+                w[i][n] = ring.sub(w[i][n], ring.mul(lp, w[i][p]))
+    return coeffs
+
+
+class EchelonBasis:
+    """Incremental row echelon basis over a field.
+
+    insert(v) adds v when it is independent of the vectors inserted so
+    far; express(v) gives the coefficients of v in the inserted vectors,
+    in insertion order, or None when v is independent.  Each stored row
+    is a vector reduced against the earlier rows, kept with the
+    combination of inserted vectors it equals, so one vector costs one
+    pass over the rows instead of an elimination from scratch.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []      # (pivot column, reduced row, its combination)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def _reduce(self, v):
+        """(r, y) with v = r + sum_j y_j v_j and r zero in every pivot column."""
+        f = self.field
+        r = list(v)
+        y = [f.zero] * len(self.rows)
+        for col, row, comb in self.rows:
+            if f.is_zero(r[col]):
+                continue
+            c = f.div(r[col], row[col])
+            r[col] = f.zero
+            for j in range(col + 1, len(r)):        # rows vanish before their pivot
+                if not f.is_zero(row[j]):
+                    r[j] = f.sub(r[j], f.mul(c, row[j]))
+            for j, t in enumerate(comb):
+                if not f.is_zero(t):
+                    y[j] = f.add(y[j], f.mul(c, t))
+        return r, y
+
+    def insert(self, v):
+        """Add v if it is independent of the basis; returns whether it was."""
+        f = self.field
+        r, y = self._reduce(v)
+        for col, x in enumerate(r):
+            if not f.is_zero(x):
+                self.rows.append((col, r, [f.neg(t) for t in y] + [f.one]))
+                return True
+        return False
+
+    def express(self, v):
+        """Coefficients of v in the inserted vectors, or None if independent."""
+        r, y = self._reduce(v)
+        return None if any(not self.field.is_zero(x) for x in r) else y

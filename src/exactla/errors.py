@@ -99,3 +99,15 @@ class ConfigError(ExactLAError):
 
 class ParseError(ExactLAError):
     """Ring literal or matrix file could not be parsed."""
+
+
+class UnknownAlgorithm(ExactLAError):
+    """No characteristic-polynomial algorithm has the requested id."""
+
+
+class Unsupported(ExactLAError, NotImplementedError):
+    """The ring lacks an operation this build needs (for example a gcd)."""
+
+
+# what inverse_of_unit raises for an element that is not a unit
+NOT_A_UNIT = (NotDivisible, ZeroDivisor, NonUnitConstantTerm)

@@ -1,7 +1,8 @@
 """Dense matrices over a ring; classical and Strassen-Winograd products;
 block-recursive triangular inversion; the shared matrix text format."""
 
-from .errors import DimensionMismatch, NotInvertibleDiagonal, ParseError
+from .errors import (NOT_A_UNIT, DimensionMismatch, NotInvertibleDiagonal,
+                     ParseError)
 from .rings import ring_from_string
 
 
@@ -241,7 +242,7 @@ def _tri_inv(ring, a, side):
     if n == 1:
         try:
             return [[ring.inverse_of_unit(a[0][0])]]
-        except Exception:
+        except NOT_A_UNIT:
             raise NotInvertibleDiagonal("diagonal entry is not invertible")
     h = n // 2
     a1 = [r[:h] for r in a[:h]]
@@ -283,7 +284,10 @@ def parse_matrix(text):
     head = lines[0].split(None, 2)
     if len(head) != 3:
         raise ParseError("matrix header must be 'rows cols ring-spec'")
-    rows, cols = int(head[0]), int(head[1])
+    try:
+        rows, cols = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError("matrix header: bad dimensions %r %r" % (head[0], head[1]))
     ring = ring_from_string(head[2])
     tokens = " ".join(lines[1:]).split()
     if len(tokens) != rows * cols:

@@ -133,16 +133,10 @@ def charpoly_modular(a, per_prime_algo="hessenberg"):
     Coefficient bounds pick the primes; per_prime_algo names the F_p
     algorithm (default Hessenberg, the cheapest field method).
     """
-    from . import registry
     n = a.rows
     bounds = charpoly_coeff_bound(a)
     primes = select_primes(max(bounds.per_coeff))
-    algo = registry.get(per_prime_algo)
-    residues = []
-    for p in primes:
-        ring = IntegersMod(p)
-        ap = DenseMatrix(ring, n, n, [x % p for x in a.entries])
-        residues.append(algo.run(ap).coeffs)
+    residues = [cp.coeffs for cp in _charpolys_mod(a, primes, per_prime_algo)]
     coeffs = []
     for k in range(n + 1):
         sys_k = ResidueSystem(list(primes), [r[k] for r in residues])
@@ -152,13 +146,19 @@ def charpoly_modular(a, per_prime_algo="hessenberg"):
 
 def det_modular(a):
     """Determinant over Z via the Hadamard bound and CRT."""
-    n = a.rows
-    primes = select_primes(hadamard_bound(a))
+    bound = hadamard_bound(a)
+    primes = select_primes(bound)
+    vals = [cp.constant_term() for cp in _charpolys_mod(a, primes, "hessenberg")]
+    return crt_reconstruct(ResidueSystem(list(primes), vals), bound)
+
+
+def _charpolys_mod(a, primes, algo_id):
+    """The characteristic polynomial of a mod each prime, by algo_id."""
     from . import registry
-    algo = registry.get("hessenberg")
-    vals = []
+    algo = registry.get(algo_id)
+    n = a.rows
+    out = []
     for p in primes:
         ring = IntegersMod(p)
-        ap = DenseMatrix(ring, n, n, [x % p for x in a.entries])
-        vals.append(algo.run(ap).constant_term())
-    return crt_reconstruct(ResidueSystem(list(primes), vals), hadamard_bound(a))
+        out.append(algo.run(DenseMatrix(ring, n, n, [x % p for x in a.entries])))
+    return out

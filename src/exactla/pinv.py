@@ -63,27 +63,21 @@ class GramSpectrum:
 def gram_coefficients(a, mode="plain"):
     """det(I + Z A A*) via the characteristic polynomial of A A*."""
     if mode == "plain":
-        m = mat_mul(a, a.transpose())
-        cp = charpoly_berkowitz(m)
-        ring = a.ring
-        out = []
-        for k in range(1, min(a.rows, a.cols) + 1):
-            pk = cp.coeffs[k]
-            out.append(pk if (a.rows - k) % 2 == 0 else ring.neg(pk))
-        return GramSpectrum("plain", ring, out, [])
+        return GramSpectrum("plain", a.ring, _gram(a, a.transpose()), [])
     if mode != "generalized":
         raise ValueError("mode must be 'plain' or 'generalized'")
     akt, kt = embed_in_kt(a)
-    astar = star_operator(akt)
-    m = mat_mul(akt, astar)
-    cp = charpoly_berkowitz(m)
-    out = []
-    exps = []
-    for k in range(1, min(a.rows, a.cols) + 1):
-        pk = cp.coeffs[k]
-        out.append(pk if (a.rows - k) % 2 == 0 else kt.neg(pk))
-        exps.append(k * (a.cols - k))
-    return GramSpectrum("generalized", kt, out, exps)
+    exps = [k * (a.cols - k) for k in range(1, min(a.rows, a.cols) + 1)]
+    return GramSpectrum("generalized", kt, _gram(akt, star_operator(akt)), exps)
+
+
+def _gram(a, star):
+    """a_1..a_min(m,n) of det(I + Z A A*), read off the characteristic
+    polynomial of A A*."""
+    ring = a.ring
+    cp = charpoly_berkowitz(mat_mul(a, star))
+    return [cp.coeffs[k] if (a.rows - k) % 2 == 0 else ring.neg(cp.coeffs[k])
+            for k in range(1, min(a.rows, a.cols) + 1)]
 
 
 def rank_from_gram(g):
@@ -108,36 +102,17 @@ def pinv_rank_r(a, r, mode="plain", tau=None):
     specialization t -> tau, which must avoid the zeros of a_r(t)).
     """
     if mode == "plain":
-        ring = a.ring
-        star = a.transpose()
-        gram = gram_coefficients(a, "plain")
-        ga = [ring.one] + list(gram.coefficients)      # a_0..a_min
-    elif mode == "generalized":
-        if tau is not None:
-            return _pinv_specialized(a, r, tau)
-        akt, kt = embed_in_kt(a)
-        ring = kt
-        a = akt
-        star = star_operator(akt)
-        gram = gram_coefficients_from(akt, star)
-        ga = [ring.one] + list(gram)
-    else:
+        return _pinv_formula(a, a.transpose(), r)
+    if mode != "generalized":
         raise ValueError("mode must be 'plain' or 'generalized'")
-    return _pinv_formula(ring, a, star, ga, r)
+    if tau is not None:
+        return _pinv_formula(a, _star_at(a, tau), r)
+    akt, _ = embed_in_kt(a)
+    return _pinv_formula(akt, star_operator(akt), r)
 
 
-def gram_coefficients_from(a, star):
-    ring = a.ring
-    cp = charpoly_berkowitz(mat_mul(a, star))
-    out = []
-    for k in range(1, min(a.rows, a.cols) + 1):
-        pk = cp.coeffs[k]
-        out.append(pk if (a.rows - k) % 2 == 0 else ring.neg(pk))
-    return out
-
-
-def _pinv_specialized(a, r, tau):
-    """Generalized formula with t specialized at a base-field value tau."""
+def _star_at(a, tau):
+    """The star operator with t specialized at a base-field value tau."""
     ring = a.ring
     m, n = a.rows, a.cols
     star = DenseMatrix.zeros(ring, n, m)
@@ -146,14 +121,15 @@ def _pinv_specialized(a, r, tau):
             e = j - i
             scale = ring.pow(tau, e) if e >= 0 else ring.inverse_of_unit(ring.pow(tau, -e))
             star.entries[i * m + j] = ring.mul(scale, a.at(j, i))
-    ga = [ring.one] + gram_coefficients_from(a, star)
-    return _pinv_formula(ring, a, star, ga, r)
+    return star
 
 
-def _pinv_formula(ring, a, star, ga, r):
+def _pinv_formula(a, star, r):
+    ring = a.ring
     n = a.cols
     if r == 0:
         return PinvResult(DenseMatrix.zeros(ring, n, a.rows), 0)
+    ga = [ring.one] + _gram(a, star)                 # a_0..a_min
     if r >= len(ga) or ring.is_zero(ga[r]):
         raise GramCoefficientZero("a_%d is zero: rank < %d" % (r, r))
     gmat = mat_mul(star, a)          # A* A, n x n

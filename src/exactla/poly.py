@@ -18,18 +18,6 @@ def strip(ring, coeffs):
     return list(coeffs[:k])
 
 
-def degree(ring, coeffs):
-    """Degree, with deg 0 = -1 (list assumed canonical or not)."""
-    for k in range(len(coeffs) - 1, -1, -1):
-        if not ring.is_zero(coeffs[k]):
-            return k
-    return -1
-
-
-def constant(ring, c):
-    return [] if ring.is_zero(c) else [c]
-
-
 def add(ring, a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -46,22 +34,10 @@ def sub(ring, a, b):
     return strip(ring, out)
 
 
-def neg(ring, a):
-    return [ring.neg(c) for c in a]
-
-
 def scale(ring, a, c):
     if ring.is_zero(c):
         return []
     return strip(ring, [ring.mul(c, x) for x in a])
-
-
-def eval_at(ring, a, x):
-    """Horner evaluation."""
-    acc = ring.zero
-    for c in reversed(a):
-        acc = ring.add(ring.mul(acc, x), c)
-    return acc
 
 
 def schoolbook_mul(ring, a, b):

@@ -1,8 +1,12 @@
-"""Characteristic-polynomial algorithm registry with ring applicability."""
+"""Characteristic-polynomial algorithm registry with ring applicability
+and the lift that runs a field algorithm on integer input."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import charpoly as cp
+from .errors import UnknownAlgorithm
+from .rings import QQ, ZZ
 
 
 @dataclass(frozen=True)
@@ -11,6 +15,15 @@ class Algo:
     run: object                  # DenseMatrix -> CharPoly
     applicable: object           # (ring, n) -> reason-or-None
     label: str
+    lift: object = None          # ring -> (field, embed) to run over instead, or None
+
+    def plan(self, ring, n):
+        """(lift, reason) for n x n input over ring: lift is None to run on
+        the input itself, else the (field, embed) to run its image over;
+        reason is why the algorithm does not apply, else None."""
+        reason = self.applicable(ring, n)
+        lift = self.lift(ring) if reason is not None and self.lift else None
+        return (lift, None) if lift else (None, reason)
 
 
 def _any(ring, n):
@@ -34,6 +47,11 @@ def _needs_domain(ring, n):
     return "%s is not a field or exact-division domain" % ring.name
 
 
+def _z_to_q(ring):
+    """Z runs over Q; the results are integral and retract to Z."""
+    return (QQ, Fraction) if ring is ZZ else None
+
+
 def _first(m):
     return cp.charpoly_faddeev(m, compute_inverse=False)[0]
 
@@ -49,7 +67,7 @@ ALGORITHMS = [
     Algo("leverrier", cp.charpoly_leverrier, _needs_int_div, "Le Verrier"),
     Algo("preparata_sarwate", cp.charpoly_preparata_sarwate, _needs_int_div,
          "Preparata-Sarwate"),
-    Algo("hessenberg", cp.charpoly_hessenberg, _needs_field, "Hessenberg"),
+    Algo("hessenberg", cp.charpoly_hessenberg, _needs_field, "Hessenberg", _z_to_q),
     Algo("bareiss_modified", cp.charpoly_bareiss_modified, _any,
          "modified Jordan-Bareiss"),
     Algo("interpolation", cp.charpoly_interpolation, _needs_int_div,
@@ -59,15 +77,14 @@ ALGORITHMS = [
 ]
 
 _BY_ID = {a.id: a for a in ALGORITHMS}
-_BY_ID["ps"] = _BY_ID["preparata_sarwate"]
 
 
 def get(algo_id):
     try:
         return _BY_ID[algo_id]
     except KeyError:
-        raise KeyError("unknown algorithm %r (have: %s)"
-                       % (algo_id, ", ".join(sorted(_BY_ID))))
+        raise UnknownAlgorithm("unknown algorithm %r (have: %s)"
+                               % (algo_id, ", ".join(sorted(_BY_ID))))
 
 
 def ids():

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import multipoly as mp
 from . import poly
 from .errors import (DftUnavailable, IntegerNotInvertible, NonTriangularIdeal,
-                     NotDivisible, ParseError, ZeroDivisor)
+                     NotDivisible, ParseError, Unsupported, ZeroDivisor)
 
 
 @dataclass(frozen=True)
@@ -415,9 +415,6 @@ class PolynomialRing(Ring):
     def div_by_int(self, a, k):
         return tuple(self.base.div_by_int(c, k) for c in a)
 
-    def degree(self, a):
-        return len(a) - 1
-
     def gcd(self, a, b):
         """Monic/primitive gcd; supports field coefficients and Z."""
         a, b = list(a), list(b)
@@ -432,7 +429,7 @@ class PolynomialRing(Ring):
             return tuple(a)
         if base is ZZ:
             return tuple(_gcd_int_poly(a, b))
-        raise NotImplementedError("gcd unavailable over %s" % base.name)
+        raise Unsupported("gcd unavailable over %s" % base.name)
 
     def unit_normal(self, a):
         """(unit u of the fraction-field numerator scaling, u*a normalized).
@@ -449,7 +446,7 @@ class PolynomialRing(Ring):
             if a[-1] < 0:
                 return (-1,), tuple(-c for c in a)
             return self.one, tuple(a)
-        raise NotImplementedError("normalization unavailable over %s" % base.name)
+        raise Unsupported("normalization unavailable over %s" % base.name)
 
     def bit_size(self, a):
         return max((self.base.bit_size(c) for c in a), default=0)
@@ -554,6 +551,8 @@ class MultiPolynomialRing(Ring):
     """Z[vars] (p=None) or Z/p[vars]; elements are {exp-tuple: int} dicts."""
 
     def __init__(self, p, varnames):
+        if p is not None and p < 2:
+            raise ValueError("modulus must be >= 2")
         self.p = p
         self.vars = tuple(varnames)
         k = len(self.vars)
@@ -772,7 +771,7 @@ class FractionField(Ring):
         if not base.spec.is_integral_domain:
             raise ValueError("fraction field needs an integral domain")
         if not hasattr(base, "gcd"):
-            raise NotImplementedError("base ring has no gcd; cannot normalize")
+            raise Unsupported("%s has no gcd; cannot normalize fractions" % base.name)
         self.base = base
         self.name = "Frac(%s)" % base.name
         self.zero = (base.zero, base.one)
@@ -897,9 +896,6 @@ class SeriesRing(Ring):
 
     def from_base(self, c):
         return (c,) + (self.base.zero,) * self.order
-
-    def from_poly(self, coeffs):
-        return tuple(poly.series_trim(self.base, list(coeffs), self.order))
 
     def add(self, a, b):
         base = self.base
@@ -1047,7 +1043,13 @@ _POLY_RE = re.compile(r"^(Z|Q|zp:\d+)\[([^\]]+)\]$")
 def ring_from_string(s):
     """Parse a ring-spec string: Z | Q | zp:<p> | Z[x] | Z[x,y] |
     zp:<p>[x] | zp:<p>[vars]/<poly>;<poly>."""
-    s = s.strip()
+    try:
+        return _ring_from_spec(s.strip())
+    except ValueError as e:
+        raise ParseError("bad ring spec %r: %s" % (s, e))
+
+
+def _ring_from_spec(s):
     if s == "Z":
         return ZZ
     if s == "Q":

@@ -2,6 +2,7 @@
 the Hankel-system minimal polynomial, and probabilistic Wiedemann."""
 
 from . import poly
+from .elimination import EchelonBasis
 from .errors import RetriesExhausted, SingularHankelSystem, ZeroSequence
 from .rng import Rng
 
@@ -58,67 +59,16 @@ def hankel_minpoly(ring, terms, bound):
     terms = list(terms[:2 * p])
     if all(ring.is_zero(t) for t in terms):
         raise ZeroSequence("all sampled terms are zero")
-    h = [[terms[i + j] for j in range(p)] for i in range(p)]
-    d = _rank(ring, h)
+    rows = EchelonBasis(ring)
+    d = sum(rows.insert(terms[i:i + p]) for i in range(p))
     if d == 0:
         raise SingularHankelSystem("rank 0 for a nonzero sequence")
-    rows = [[terms[i + j] for j in range(d)] + [terms[d + i]] for i in range(d)]
-    g = _solve(ring, rows)
-    if g is None:
+    # H_{0,d,d} g = (a_d .. a_{2d-1}): the right side in the columns of H
+    cols = EchelonBasis(ring)
+    if not all(cols.insert(terms[j:j + d]) for j in range(d)):
         raise SingularHankelSystem("leading Hankel block is singular")
+    g = cols.express(terms[d:2 * d])
     return [ring.neg(x) for x in g] + [ring.one]
-
-
-def _rank(ring, rows):
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    w = [list(r) for r in rows]
-    rank = 0
-    row = 0
-    for col in range(n):
-        sel = None
-        for i in range(row, m):
-            if not ring.is_zero(w[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        w[row], w[sel] = w[sel], w[row]
-        piv = w[row][col]
-        for i in range(row + 1, m):
-            if not ring.is_zero(w[i][col]):
-                f = ring.div(w[i][col], piv)
-                for j in range(col, n):
-                    w[i][j] = ring.sub(w[i][j], ring.mul(f, w[row][j]))
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def _solve(ring, aug):
-    """Solve a square augmented system by Gauss; None when singular."""
-    n = len(aug)
-    w = [list(r) for r in aug]
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if not ring.is_zero(w[i][col]):
-                sel = i
-                break
-        if sel is None:
-            return None
-        w[col], w[sel] = w[sel], w[col]
-        piv = w[col][col]
-        for i in range(n):
-            if i != col and not ring.is_zero(w[i][col]):
-                f = ring.div(w[i][col], piv)
-                for j in range(col, n + 1):
-                    w[i][j] = ring.sub(w[i][j], ring.mul(f, w[col][j]))
-    return [ring.div(w[i][n], w[i][i]) for i in range(n)]
 
 
 def wiedemann_minpoly(a, seed, retries=4, degree_target=None):

@@ -141,3 +141,34 @@ def test_cli_usage_errors(tmp_path, capsys):
     bad.write_text("2 2 Z\n1 2 3\n")
     assert main(["det", "--in", str(bad)]) == 1
     assert main(["nonsense"]) == 1
+    capsys.readouterr()
+    # every bad input ends in one stderr line, never a traceback
+    for name, text in (("modulus.txt", "2 2 zp:1\n1 2 3 4\n"),
+                       ("multivariate.txt", "1 1 zp:1[x,y]\n1\n"),
+                       ("header.txt", "x 2 Z\n1 2\n"),
+                       ("quotient.txt", "1 1 zp:4[x]/1*x^2+1\n1\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["det", "--in", str(path)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+    for cfg_text in ("groups=1\nsizes=3\nalgos=nosuch\n",
+                     "groups=5\nsizes=6\nalgos=frobenius\n",
+                     "groups=4\nsizes=5\nalgos=frobenius\n",
+                     "groups=3\nsizes=3\np=abc\n"):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(cfg_text)
+        assert main(["bench", "--config", str(cfg), "--out-csv", str(tmp_path / "o.csv"),
+                     "--out-md", str(tmp_path / "o.md")]) == 1, cfg_text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (cfg_text, err)
+
+
+def test_cli_charpoly_hessenberg_lifts_z_to_q(tmp_path, capsys):
+    path = tmp_path / "z.txt"
+    path.write_text(format_matrix(bench.generate_matrix(bench.BenchCase(1, 6, 3))))
+    assert main(["charpoly", "--algo", "berkowitz", "--in", str(path)]) == 0
+    want = capsys.readouterr().out
+    assert main(["charpoly", "--algo", "hessenberg", "--in", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want and captured.err == ""

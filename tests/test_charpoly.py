@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import charpoly_cofactor, random_int_matrix
+from exactla import bench
 from exactla import charpoly as cp
 from exactla.errors import AdjointVanishes
 from exactla.matrix import DenseMatrix, mat_mul
 from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod,
-                           MultiPolynomialRing, PolynomialRing, QuotientRing)
+                           MultiPolynomialRing, PolynomialRing, QuotientRing,
+                           RationalField)
 from exactla.rng import Rng
 
 F = IntegersMod(10007)
@@ -214,6 +216,39 @@ def test_frobenius_identity_degenerate():
     i3 = DenseMatrix.identity(ZZ, 3)
     assert cp.charpoly_frobenius(i3).coeffs == (-1, 3, -3, 1)
     assert cp.frobenius_block_polynomials(i3) == [[-1, 1]] * 3
+
+
+def test_frobenius_block_polynomials_pinned():
+    # the Krylov block triangularization, pinned before the incremental
+    # echelon basis replaced the per-vector elimination
+    one = [Fraction(-1), Fraction(1)]
+    assert cp.frobenius_block_polynomials(DenseMatrix.identity(QQ, 4)) == [one] * 4
+    derogatory = DenseMatrix.from_rows(QQ, [[Fraction(x) for x in row] for row in
+                                            [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0],
+                                             [3, 0, 1, 0, 0], [0, 0, 0, 1, Fraction(1, 2)],
+                                             [0, 0, 0, 0, -1]]])
+    assert cp.frobenius_block_polynomials(derogatory) == [[1, -2, 1], one, one, [1, 1]]
+    assert cp.frobenius_block_polynomials(bench.jou_matrix(5)) == [
+        [(), (0, 0, 0, 0, -1400, 0, 1400, -1400, 0, 2800),
+         (0, 300, 100, 8310, 2510, -1020, 3740, -200), (-225, -115, -1049, 80, -10), (1,)],
+        [(), (1,)]]
+
+
+class _BrokenInverse(RationalField):
+    """Q whose inverse_of_unit fails with a programming error."""
+
+    def inverse_of_unit(self, a):
+        raise TypeError("broken inverse_of_unit")
+
+
+def test_faddeev_inverse_lets_ring_bugs_propagate():
+    a = DenseMatrix.from_rows(_BrokenInverse(), [[Fraction(2), Fraction(1)],
+                                                 [Fraction(1), Fraction(1)]])
+    with pytest.raises(TypeError):
+        cp.charpoly_faddeev(a)
+    # a singular matrix over Z/p: det is not a unit, so no inverse
+    s = DenseMatrix.from_rows(F, [[1, 2], [2, 4]])
+    assert cp.charpoly_faddeev(s)[2] is None
 
 
 def test_faddeev_sequence_invariants(rng):

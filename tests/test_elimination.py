@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cofactor_det
-from exactla.elimination import (bunch_hopcroft, det_field, det_fraction_free,
-                                 dodgson_hankel, gauss_lu, jordan_bareiss,
-                                 jorbarsol, lup_surjective)
+from conftest import _express_vec, cofactor_det
+from exactla.elimination import (EchelonBasis, bunch_hopcroft, det_field,
+                                 det_fraction_free, dodgson_hankel, gauss_lu,
+                                 jordan_bareiss, jorbarsol, lup_surjective)
+from test_pinv import _gauss_rank
 from exactla.errors import NotSurjective, ZeroConnectedMinor
 from exactla.matrix import DenseMatrix, mat_mul
 from exactla.rings import QQ, ZZ, IntegersMod
@@ -210,3 +213,37 @@ def test_bareiss_never_leaves_z(rng):
         if t.rank_detected == n:
             ok += 1
             assert all(isinstance(x, int) for x in t.matrix.entries)
+
+
+@st.composite
+def _low_rank_rows(draw):
+    """(p, rows): m vectors of length n over Z/p spanned by r <= min(m, n)
+    random generators, so most inputs are rank-deficient."""
+    p = draw(st.sampled_from([2, 3, 7]))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(m, n)))
+    residue = st.integers(0, p - 1)
+    gens = [[draw(residue) for _ in range(n)] for _ in range(r)]
+    rows = []
+    for _ in range(m):
+        coeffs = [draw(residue) for _ in range(r)]
+        rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) % p for j in range(n)])
+    return p, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_low_rank_rows())
+def test_echelon_basis_matches_gauss(case):
+    p, rows = case
+    ring = IntegersMod(p)
+    basis = EchelonBasis(ring)
+    inserted = []
+    for v in rows:
+        want = _express_vec(ring, inserted, v)
+        assert basis.express(v) == want
+        assert basis.insert(v) == (want is None)
+        if want is None:
+            inserted.append(v)
+        assert basis.express(v) == _express_vec(ring, inserted, v)
+    assert len(basis) == _gauss_rank(ring, DenseMatrix.from_rows(ring, rows))

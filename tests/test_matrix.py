@@ -5,7 +5,7 @@ import pytest
 from exactla.errors import DimensionMismatch, NotInvertibleDiagonal
 from exactla.matrix import (DenseMatrix, format_matrix, mat_mul, parse_matrix,
                             triangular_inverse)
-from exactla.rings import QQ, ZZ, CountingRing, IntegersMod
+from exactla.rings import QQ, ZZ, CountingRing, IntegersMod, RationalField
 
 F = IntegersMod(10007)
 
@@ -96,6 +96,19 @@ def test_triangular_inverse_multiply_back(rng):
 def test_triangular_inverse_not_invertible():
     t = DenseMatrix.from_rows(ZZ, [[1, 0], [3, 2]])   # 2 not a unit of Z
     with pytest.raises(NotInvertibleDiagonal):
+        triangular_inverse(t, "lower")
+
+
+class _BrokenInverse(RationalField):
+    """Q whose inverse_of_unit fails with a programming error."""
+
+    def inverse_of_unit(self, a):
+        raise TypeError("broken inverse_of_unit")
+
+
+def test_triangular_inverse_lets_ring_bugs_propagate():
+    t = DenseMatrix.from_rows(_BrokenInverse(), [[QQ.one, QQ.zero], [QQ.one, QQ.one]])
+    with pytest.raises(TypeError):
         triangular_inverse(t, "lower")
 
 

@@ -104,12 +104,11 @@ def charpoly_berkowitz(a, sparse_aware=False):
         c[1] = neg_one
         c[2] = rows[r - 1][r - 1]
         for i in range(1, r - 1):
-            c[i + 2] = _dot_row(ring, rows[r - 1], s, r - 1,
+            c[i + 2] = _dot_row(ring, rows[r - 1], s,
                                 nz[r - 1] if sparse_aware else None)
-            s = [_dot_row(ring, rows[j], s, r - 1,
-                          nz[j] if sparse_aware else None)
+            s = [_dot_row(ring, rows[j], s, nz[j] if sparse_aware else None)
                  for j in range(r - 1)]
-        c[r + 1] = _dot_row(ring, rows[r - 1], s, r - 1,
+        c[r + 1] = _dot_row(ring, rows[r - 1], s,
                             nz[r - 1] if sparse_aware else None)
         newv = []
         for i in range(1, r + 2):
@@ -122,15 +121,15 @@ def charpoly_berkowitz(a, sparse_aware=False):
     return CharPoly(ring, v)
 
 
-def _dot_row(ring, row, s, width, support):
+def _dot_row(ring, row, s, support):
+    """row . s over the first len(s) columns; with a support (ascending
+    column indices), only over the columns in it.  The support loop stays
+    scalar: its rows hold a few nonzeros, too few to pay for a bulk call."""
     if support is None:
-        acc = ring.mul(row[0], s[0])
-        for k in range(1, width):
-            acc = ring.add(acc, ring.mul(row[k], s[k]))
-        return acc
+        return ring.dot(row, s)
     acc = None
     for k in support:
-        if k >= width:
+        if k >= len(s):
             break
         t = ring.mul(row[k], s[k])
         acc = t if acc is None else ring.add(acc, t)
@@ -157,7 +156,7 @@ def chistov_diagonal_series(a, sparse_aware=False):
         v[r - 1] = ring.one
         coeffs = [ring.one]
         for _ in range(n):
-            v = [_dot_row(ring, rows[j], v, r, nz[j] if sparse_aware else None)
+            v = [_dot_row(ring, rows[j], v, nz[j] if sparse_aware else None)
                  for j in range(r)]
             coeffs.append(v[r - 1])
         out.append(coeffs)
@@ -213,7 +212,7 @@ def _trace_of_product(ring, x, y):
     their sum."""
     tr = None
     for i in range(x.rows):
-        d = _dot_row(ring, x.row(i), y.col(i), x.cols, None)
+        d = ring.dot(x.row(i), y.col(i))
         tr = d if tr is None else ring.add(tr, d)
     return tr
 
@@ -361,10 +360,10 @@ def charpoly_hessenberg(a):
                 continue
             c = ring.div(h[i][jp], piv)
             h[i][jp] = ring.zero
-            for j in range(jp + 1, n):
-                h[i][j] = ring.sub(h[i][j], ring.mul(c, h[ip][j]))
-            for k in range(n):
-                h[k][ip] = ring.add(h[k][ip], ring.mul(c, h[k][i]))
+            h[i][jp + 1:] = ring.submul(h[i][jp + 1:], c, h[ip][jp + 1:])
+            col = ring.addmul([row[ip] for row in h], c, [row[i] for row in h])
+            for row, x in zip(h, col):
+                row[ip] = x
     # Hessenberg recurrence on the reduced matrix (ascending coefficient lists)
     ps = [[ring.one]]
     for m in range(1, n + 1):
@@ -379,8 +378,7 @@ def charpoly_hessenberg(a):
             c = ring.neg(ring.mul(c, h[m - i][m - i - 1]))
             t = ring.mul(c, h[m - i - 1][m - 1])
             lower = ps[m - i - 1]
-            for k in range(len(lower)):
-                cur[k] = ring.add(cur[k], ring.mul(t, lower[k]))
+            cur[:len(lower)] = ring.addmul(cur, t, lower)
         ps.append(cur)
     return _sign_normalize(ring, ps[n], n)
 
@@ -467,7 +465,7 @@ def _frobenius_simple(a):
     for i in range(n):
         w[i][1] = v[i]
     for k in range(2, n + 1):
-        v = [_dot_row(ring, rows[i], v, n, None) for i in range(n)]
+        v = [ring.dot(rows[i], v) for i in range(n)]
         for i in range(n):
             w[i][k] = v[i]
     return _from_monic_tail(ring, _jorbarsol_rows(ring, w, skip_first_pivot=True), n)
@@ -492,7 +490,7 @@ def frobenius_block_polynomials(a):
                 seed_from = i + 1
                 break
         while True:
-            v = [_dot_row(field, arows[i], v, n, None) for i in range(n)]
+            v = [field.dot(arows[i], v) for i in range(n)]
             if not basis.insert(v):
                 tails.append(basis.express(v)[start:])
                 break

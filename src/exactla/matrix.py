@@ -89,15 +89,8 @@ class DenseMatrix:
         """Matrix times vector (list)."""
         if len(v) != self.cols:
             raise DimensionMismatch("vector length %d, expected %d" % (len(v), self.cols))
-        ring = self.ring
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            acc = ring.mul(row[0], v[0])
-            for k in range(1, self.cols):
-                acc = ring.add(acc, ring.mul(row[k], v[k]))
-            out.append(acc)
-        return out
+        dot = self.ring.dot
+        return [dot(self.row(i), v) for i in range(self.rows)]
 
     def trace(self):
         ring = self.ring
@@ -114,21 +107,10 @@ class DenseMatrix:
 
 
 def _classical(ring, a, b):
-    # a: m x n rows, b: n x p rows -> m x p rows
-    n = len(b)
-    p = len(b[0])
-    bt = [[b[k][j] for k in range(n)] for j in range(p)]
-    mul, add = ring.mul, ring.add
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = mul(row[0], col[0])
-            for k in range(1, n):
-                acc = add(acc, mul(row[k], col[k]))
-            orow.append(acc)
-        out.append(orow)
-    return out
+    # a: m x n rows, b: n x p rows -> m x p rows, one ring.dot per entry
+    bt = list(zip(*b))
+    dot = ring.dot
+    return [[dot(row, col) for col in bt] for row in a]
 
 
 def _madd(ring, a, b):

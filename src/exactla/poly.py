@@ -134,28 +134,38 @@ AUTO_KARATSUBA_DEGREE = 16
 
 
 def poly_mul(ring, a, b, strategy="auto"):
-    """Exact product; strategy in {schoolbook, karatsuba, dft, auto}."""
+    """Exact product; strategy in {schoolbook, karatsuba, dft, auto}.
+
+    auto is the ring's `product` hook: a native kernel where the ring has
+    one, else the literal dispatch of `auto_mul`.
+    """
+    if strategy == "auto":
+        return ring.product(a, b)
     if strategy == "schoolbook":
         return schoolbook_mul(ring, a, b)
     if strategy == "karatsuba":
         return karatsuba_mul(ring, a, b)
     if strategy == "dft":
         return dft_mul(ring, a, b)
-    if strategy == "auto":
-        d = min(len(a), len(b)) - 1
-        if d < AUTO_KARATSUBA_DEGREE:
-            return schoolbook_mul(ring, a, b)
-        need = len(a) + len(b) - 1
-        m = 1
-        while m < need:
-            m *= 2
-        if m in ring.spec.root_of_unity_orders and ring.spec.characteristic != 2:
-            try:
-                return dft_mul(ring, a, b)
-            except DftUnavailable:
-                pass
-        return karatsuba_mul(ring, a, b)
     raise ValueError("unknown strategy %r" % (strategy,))
+
+
+def auto_mul(ring, a, b):
+    """Schoolbook below AUTO_KARATSUBA_DEGREE; above it DFT where the ring
+    has the root of unity (and odd characteristic), else Karatsuba."""
+    d = min(len(a), len(b)) - 1
+    if d < AUTO_KARATSUBA_DEGREE:
+        return schoolbook_mul(ring, a, b)
+    need = len(a) + len(b) - 1
+    m = 1
+    while m < need:
+        m *= 2
+    if m in ring.spec.root_of_unity_orders and ring.spec.characteristic != 2:
+        try:
+            return dft_mul(ring, a, b)
+        except DftUnavailable:
+            pass
+    return karatsuba_mul(ring, a, b)
 
 
 def divmod_poly(ring, a, b):
@@ -205,6 +215,13 @@ def series_add(ring, a, b, order):
 
 
 def series_mul(ring, a, b, order):
+    """a*b mod z^(order+1) as order+1 coefficients: the ring's `product`
+    hook (see `truncated_mul` for the literal loop)."""
+    return ring.product(a, b, order)
+
+
+def truncated_mul(ring, a, b, order):
+    """The literal truncated product: skips zero coefficients of a."""
     out = [None] * (order + 1)
     for i in range(min(order, len(a) - 1) + 1):
         ai = a[i]

@@ -7,6 +7,21 @@ Every ring object exposes the same small protocol:
     principal_root(order), spec (a RingSpec), format/parse, bit_size,
     random_element(rng, ...)
 
+and four bulk hooks, which the kernels and algorithms call for their
+inner loops:
+
+    dot(xs, ys)            sum of xs[k]*ys[k] over the common length
+    addmul(ys, c, xs)      [y + c*x for each pair]
+    submul(ys, c, xs)      [y - c*x for each pair]
+    product(a, b, order)   polynomial product (order None, stripped), or
+                           the series product mod z^(order+1)
+
+The Ring defaults are the literal scalar loops, op for op, and they are
+all a CountingRing has, so counted op streams, max_bits and digests do
+not depend on the hooks.  IntegersMod overrides all four (one reduction
+per dot or entry, Kronecker substitution for products) and IntegerRing
+the first three.
+
 Elements are plain Python values (ints, Fractions, tuples, dicts) and are
 immutable by convention; rings are stateless except for CountingRing.
 """
@@ -15,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul as _mul
 
 from . import multipoly as mp
 from . import poly
@@ -113,6 +129,26 @@ class Ring:
     def bit_size(self, a):
         return 0
 
+    # bulk hooks: the literal loops, op for op (see the module docstring)
+
+    def dot(self, xs, ys):
+        acc = None
+        for x, y in zip(xs, ys):
+            t = self.mul(x, y)
+            acc = t if acc is None else self.add(acc, t)
+        return self.zero if acc is None else acc
+
+    def addmul(self, ys, c, xs):
+        return [self.add(y, self.mul(c, x)) for y, x in zip(ys, xs)]
+
+    def submul(self, ys, c, xs):
+        return [self.sub(y, self.mul(c, x)) for y, x in zip(ys, xs)]
+
+    def product(self, a, b, order=None):
+        if order is None:
+            return poly.auto_mul(self, a, b)
+        return poly.truncated_mul(self, a, b, order)
+
     def pow(self, a, k):
         acc = self.one
         while k:
@@ -150,6 +186,15 @@ class IntegerRing(Ring):
 
     def neg(self, a):
         return -a
+
+    def dot(self, xs, ys):
+        return sum(map(_mul, xs, ys))
+
+    def addmul(self, ys, c, xs):
+        return [y + c * x for y, x in zip(ys, xs)]
+
+    def submul(self, ys, c, xs):
+        return [y - c * x for y, x in zip(ys, xs)]
 
     def exact_div(self, a, b):
         if b == 0:
@@ -307,6 +352,62 @@ class IntegersMod(Ring):
     def neg(self, a):
         return (-a) % self.m
 
+    # delayed reduction: one % per dot or entry instead of one per op
+
+    def dot(self, xs, ys):
+        return sum(map(_mul, xs, ys)) % self.m
+
+    def addmul(self, ys, c, xs):
+        m = self.m
+        return [(y + c * x) % m for y, x in zip(ys, xs)]
+
+    def submul(self, ys, c, xs):
+        m = self.m
+        return [(y - c * x) % m for y, x in zip(ys, xs)]
+
+    def product(self, a, b, order=None):
+        """Plain-int loop over the shorter operand (trailing zeros stripped)
+        when it has under KRONECKER_MIN_TERMS nonzero coefficients, else
+        one bigint product by Kronecker substitution; one reduction per
+        coefficient either way.  Operands must be canonical residues, as
+        every IntegersMod operation returns them: the Kronecker slots are
+        sized for entries in [0, m)."""
+        m = self.m
+        la, lb = len(a), len(b)
+        while la and not a[la - 1]:
+            la -= 1
+        while lb and not b[lb - 1]:
+            lb -= 1
+        if not la or not lb:
+            return [] if order is None else [0] * (order + 1)
+        size = la + lb - 1
+        if order is not None and size > order:
+            size = order + 1
+            la, lb = min(la, size), min(lb, size)
+        if lb < la:
+            a, la, b, lb = b, lb, a, la
+        if la < KRONECKER_MIN_TERMS or a[:la].count(0) > la - KRONECKER_MIN_TERMS:
+            out = [0] * size
+            b = b[:lb]
+            i = 0
+            for x in a[:la]:
+                if x:
+                    k = i
+                    for y in b[:size - i]:
+                        out[k] += x * y
+                        k += 1
+                i += 1
+            for k in range(size):
+                out[k] %= m
+        else:
+            out = _kronecker(a, la, b, lb, m, size)
+        if order is None:
+            while out and not out[-1]:
+                out.pop()
+        elif size <= order:
+            out += [0] * (order + 1 - size)
+        return out
+
     def div(self, a, b):
         if b % self.m == 0:
             raise ZeroDivisor("division by zero in %s" % self.name)
@@ -356,6 +457,31 @@ class IntegersMod(Ring):
         return rng.below(self.m)
 
 
+# fewest nonzero coefficients of the shorter operand for which
+# IntegersMod.product packs both operands (Kronecker substitution) rather
+# than running the plain-int loop.  Measured on dense operands of equal
+# length L over Z/10007, Z/998244353 and Z/(2^61-1) (CPython 3.11):
+# Kronecker wins from L ~ 8-10 for full products and from L ~ 12 for
+# products truncated at order L-1, and loses by up to 2x below L = 6.
+KRONECKER_MIN_TERMS = 10
+
+
+def _kronecker(a, la, b, lb, m, size):
+    """First `size` coefficients of a[:la]*b[:lb] mod m: each operand
+    packed into one int with a byte-aligned slot wide enough for any
+    product coefficient, one bigint product, unpacked and reduced."""
+    width = ((min(la, lb) * (m - 1) ** 2).bit_length() + 7) // 8
+    pa = int.from_bytes(b"".join([x.to_bytes(width, "little") for x in a[:la]]), "little")
+    if b is a:
+        prod = pa * pa      # CPython squares faster than it multiplies
+    else:
+        prod = pa * int.from_bytes(
+            b"".join([x.to_bytes(width, "little") for x in b[:lb]]), "little")
+    raw = prod.to_bytes(width * (la + lb - 1), "little")
+    unpack = int.from_bytes
+    return [unpack(raw[i:i + width], "little") % m for i in range(0, width * size, width)]
+
+
 def _prime_factors(n):
     out = set()
     d = 2
@@ -402,7 +528,7 @@ class PolynomialRing(Ring):
         return tuple(poly.sub(self.base, list(a), list(b)))
 
     def mul(self, a, b):
-        return tuple(poly.poly_mul(self.base, list(a), list(b)))
+        return tuple(self.base.product(a, b))
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
@@ -906,7 +1032,7 @@ class SeriesRing(Ring):
         return tuple(base.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return tuple(poly.series_mul(self.base, a, b, self.order))
+        return tuple(self.base.product(a, b, self.order))
 
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)

@@ -89,10 +89,7 @@ def wiedemann_minpoly(a, seed, retries=4, degree_target=None):
         terms = []
         w = list(v)
         for k in range(2 * n):
-            acc = ring.mul(u[0], w[0])
-            for i in range(1, n):
-                acc = ring.add(acc, ring.mul(u[i], w[i]))
-            terms.append(acc)
+            terms.append(ring.dot(u, w))
             if k < 2 * n - 1:
                 w = a.apply(w)
         try:

@@ -153,8 +153,6 @@ def test_cli_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
     for cfg_text in ("groups=1\nsizes=3\nalgos=nosuch\n",
-                     "groups=5\nsizes=6\nalgos=frobenius\n",
-                     "groups=4\nsizes=5\nalgos=frobenius\n",
                      "groups=3\nsizes=3\np=abc\n"):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(cfg_text)
@@ -162,6 +160,30 @@ def test_cli_usage_errors(tmp_path, capsys):
                      "--out-md", str(tmp_path / "o.md")]) == 1, cfg_text
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (cfg_text, err)
+
+
+def test_bench_leaves_out_cases_the_counted_ring_cannot_run(tmp_path, capsys):
+    # Frobenius on singular sparse Z matrices takes the fraction-field
+    # block path, which the counted Z (no gcd) cannot run: that row is left
+    # out, as cross_validate leaves out an Unsupported run, and the rest is
+    # written
+    both = {"groups": "5", "sizes": "4", "seeds": "1", "algos": "berkowitz,frobenius"}
+    records, csv_text, _, unanimous = bench.run_benchmark(both)
+    assert unanimous and [r.case.algo for r in records] == ["berkowitz"]
+    _, alone, _, _ = bench.run_benchmark(dict(both, algos="berkowitz"))
+    strip_ms = lambda text: [line.split(",")[:5] + line.split(",")[6:]
+                             for line in text.splitlines()]
+    assert strip_ms(csv_text) == strip_ms(alone)
+    for cfg_text in ("groups=5\nsizes=4\nseeds=1\nalgos=berkowitz,frobenius\n",
+                     "groups=5\nsizes=6\nalgos=frobenius\n",
+                     "groups=4\nsizes=5\nalgos=frobenius\n"):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(cfg_text)
+        out_csv = tmp_path / "o.csv"
+        assert main(["bench", "--config", str(cfg), "--out-csv", str(out_csv),
+                     "--out-md", str(tmp_path / "o.md")]) == 0, cfg_text
+        assert out_csv.read_text().startswith(bench.CSV_COLUMNS)
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_charpoly_hessenberg_lifts_z_to_q(tmp_path, capsys):

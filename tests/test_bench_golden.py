@@ -24,6 +24,13 @@ CONFIGS = [
     {"groups": "1,3,4", "sizes": "3,4", "seeds": "1", "algos": ALL},
     {"groups": "5", "sizes": "3,4", "seeds": "1", "algos": NO_FROBENIUS},
     {"groups": "2", "sizes": "3", "seeds": "1", "algos": ALL},
+    # a two-variable quotient tower, the book's Z17[y,x]/<L, H> and a larger
+    # Z[x,y] case (these rows were written by the exponent-dict code)
+    {"groups": "3", "sizes": "3,4", "seeds": "1", "algos": ALL,
+     "p": "11", "vars": "x,y", "ideal": "1*x^2+-3;1*y^2+-1*x^1"},
+    {"groups": "3", "sizes": "3", "seeds": "1", "algos": ALL,
+     "p": "17", "vars": "y,x", "ideal": "1*y^3+-2*y^1+1;1*x^5+-5*x^1*y^1+1"},
+    {"groups": "2", "sizes": "4", "seeds": "1", "algos": ALL},
 ]
 
 

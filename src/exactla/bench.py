@@ -3,8 +3,10 @@ validation across algorithms, and instrumented timing/op-count runs.
 
 Operation counting instruments the innermost scalar ring (Z coefficients
 for the integer and Z[x] families); for the multivariate families
-(groups 2 and 3) the counters record entry-ring operations instead,
-since their coefficient arithmetic is not ring-routed.
+(groups 2 and 3) the counters record entry-ring operations instead.
+Their entry rings are towers of univariate rings whose coefficient
+arithmetic is ring-routed too, but the counters stay on the entry ring
+so that the published op counts do not move.
 """
 
 import time

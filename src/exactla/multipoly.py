@@ -1,131 +1,52 @@
-"""Sparse multivariate polynomials as {exponent-tuple: integer} dicts.
+"""Exponent dicts for the multivariate entry rings.
 
-Coefficients are Python ints, optionally reduced modulo a prime p.
-Used for the multivariate matrix-entry rings (Z[x,y] and the triangular
-quotient rings Z/p[vars]/<ideal>); the heavy univariate machinery lives
-in poly.py.
+MultiPolynomialRing and QuotientRing elements are nested dense tuples:
+a polynomial in v1..vk is the tuple of its coefficients in vk (ascending,
+trailing zeros stripped), each a polynomial in v1..v(k-1), down to ints
+(see rings.py).  {exponent-tuple: int} dicts are only the exchange form
+of format, parse and random_element; the two enumerators fix the order
+in which random_element draws its coefficients.
 """
 
-from .errors import NonTriangularIdeal
+
+def to_dict(a, nvars):
+    """{(e1..ek): coefficient} of the nonzero terms of a nested element."""
+    if nvars == 0:
+        return {(): a} if a else {}
+    return {e + (k,): c for k, ck in enumerate(a)
+            for e, c in to_dict(ck, nvars - 1).items()}
 
 
-def mp_trim(d, p=None):
-    if p is None:
-        return {e: c for e, c in d.items() if c != 0}
-    return {e: c % p for e, c in d.items() if c % p != 0}
+def from_dict(d, nvars, p=None):
+    """Nested element of an exponent dict; coefficients are reduced mod p
+    when p is given, and zero terms are dropped."""
+    by_top = {}
+    for e, c in d.items():
+        if p is not None:
+            c %= p
+        if c:
+            by_top.setdefault(e[-1], {})[e[:-1]] = c
+    out = [0 if nvars == 1 else ()] * (max(by_top, default=-1) + 1)
+    for k, sub in by_top.items():
+        out[k] = sub[()] if nvars == 1 else from_dict(sub, nvars - 1)
+    return tuple(out)
 
 
-def mp_add(a, b, p=None):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return mp_trim(out, p)
+def exponents_upto(nvars, total):
+    """Exponent tuples of total degree <= total, first variable slowest."""
+    if nvars == 0:
+        yield ()
+        return
+    for head in range(total + 1):
+        for rest in exponents_upto(nvars - 1, total - head):
+            yield (head,) + rest
 
 
-def mp_neg(a, p=None):
-    return mp_trim({e: -c for e, c in a.items()}, p)
-
-
-def mp_sub(a, b, p=None):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) - c
-    return mp_trim(out, p)
-
-
-def mp_mul(a, b, p=None):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return mp_trim(out, p)
-
-
-def mp_scale(a, c, p=None):
-    return mp_trim({e: c * v for e, v in a.items()}, p)
-
-
-def mp_const(c, nvars, p=None):
-    d = {(0,) * nvars: c}
-    return mp_trim(d, p)
-
-
-def mp_deg_in(a, var):
-    return max((e[var] for e in a), default=-1)
-
-
-def _lex_lead(a):
-    return max(a)
-
-
-def mp_exact_div(a, b, p=None):
-    """Exact quotient a/b, or None when no quotient exists.
-
-    Peels the lex-leading term of the quotient at each step; in an
-    integral domain this succeeds exactly when b divides a.
-    """
-    from .errors import NotDivisible
-    b = mp_trim(b, p)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = mp_trim(a, p)
-    q = {}
-    eb = _lex_lead(b)
-    cb = b[eb]
-    while r:
-        ea = _lex_lead(r)
-        eq = tuple(x - y for x, y in zip(ea, eb))
-        if any(x < 0 for x in eq):
-            raise NotDivisible("multivariate division failed")
-        if p is None:
-            cq, rem = divmod(r[ea], cb)
-            if rem != 0:
-                raise NotDivisible("multivariate division failed")
-        else:
-            g = _invmod(cb, p)
-            if g is None:
-                raise NotDivisible("leading coefficient not invertible mod p")
-            cq = (r[ea] * g) % p
-        q[eq] = q.get(eq, 0) + cq
-        r = mp_sub(r, mp_mul({eq: cq}, b, p), p)
-    return mp_trim(q, p)
-
-
-def _invmod(a, p):
-    try:
-        return pow(a, -1, p)
-    except ValueError:
-        return None
-
-
-def mp_rem(a, g, var, p=None):
-    """Remainder of a modulo g, dividing with respect to variable `var`.
-
-    g must be monic in that variable (leading coefficient 1 after any
-    modular reduction); the quotient is never needed.
-    """
-    dg = mp_deg_in(g, var)
-    if dg < 0:
-        raise ZeroDivisionError("reduction by zero polynomial")
-    lead = {e[:var] + (0,) + e[var + 1:]: c for e, c in g.items() if e[var] == dg}
-    if list(lead.items()) != [((0,) * len(next(iter(g))), 1)]:
-        raise NonTriangularIdeal("generator is not monic in its own variable")
-    rest = {e: c for e, c in g.items() if e[var] < dg}
-    r = mp_trim(a, p)
-    while True:
-        da = mp_deg_in(r, var)
-        if da < dg:
-            return r
-        top = {e[:var] + (e[var] - da,) + e[var + 1:]: c
-               for e, c in r.items() if e[var] == da}
-        # r -= top * x_var^(da-dg) * g  (monic head cancels exactly)
-        shift = da - dg
-        for e, c in top.items():
-            he = e[:var] + (e[var] + da,) + e[var + 1:]
-            r[he] = r.get(he, 0) - c
-            for eg, cg in rest.items():
-                k = tuple(x + y for x, y in zip(e, eg))
-                k = k[:var] + (k[var] + shift,) + k[var + 1:]
-                r[k] = r.get(k, 0) - c * cg
-        r = mp_trim(r, p)
+def exponents_below(degs):
+    """Exponent tuples with e_i < degs[i], first variable slowest."""
+    if not degs:
+        yield ()
+        return
+    for head in range(degs[0]):
+        for rest in exponents_below(degs[1:]):
+            yield (head,) + rest

@@ -22,8 +22,10 @@ not depend on the hooks.  IntegersMod overrides all four (one reduction
 per dot or entry, Kronecker substitution for products) and IntegerRing
 the first three.
 
-Elements are plain Python values (ints, Fractions, tuples, dicts) and are
+Elements are plain Python values (ints, Fractions, tuples) and are
 immutable by convention; rings are stateless except for CountingRing.
+Multivariate polynomials and triangular quotients are towers of the
+univariate PolynomialRing, with nested dense tuples as elements.
 """
 
 import math
@@ -369,9 +371,7 @@ class IntegersMod(Ring):
         """Plain-int loop over the shorter operand (trailing zeros stripped)
         when it has under KRONECKER_MIN_TERMS nonzero coefficients, else
         one bigint product by Kronecker substitution; one reduction per
-        coefficient either way.  Operands must be canonical residues, as
-        every IntegersMod operation returns them: the Kronecker slots are
-        sized for entries in [0, m)."""
+        coefficient either way."""
         m = self.m
         la, lb = len(a), len(b)
         while la and not a[la - 1]:
@@ -468,15 +468,16 @@ KRONECKER_MIN_TERMS = 10
 
 def _kronecker(a, la, b, lb, m, size):
     """First `size` coefficients of a[:la]*b[:lb] mod m: each operand
-    packed into one int with a byte-aligned slot wide enough for any
-    product coefficient, one bigint product, unpacked and reduced."""
+    packed, as residues in [0, m), into one int with a byte-aligned slot
+    wide enough for any product coefficient, one bigint product, unpacked
+    and reduced."""
     width = ((min(la, lb) * (m - 1) ** 2).bit_length() + 7) // 8
-    pa = int.from_bytes(b"".join([x.to_bytes(width, "little") for x in a[:la]]), "little")
+    pa = int.from_bytes(b"".join([(x % m).to_bytes(width, "little") for x in a[:la]]), "little")
     if b is a:
         prod = pa * pa      # CPython squares faster than it multiplies
     else:
         prod = pa * int.from_bytes(
-            b"".join([x.to_bytes(width, "little") for x in b[:lb]]), "little")
+            b"".join([(x % m).to_bytes(width, "little") for x in b[:lb]]), "little")
     raw = prod.to_bytes(width * (la + lb - 1), "little")
     unpack = int.from_bytes
     return [unpack(raw[i:i + width], "little") % m for i in range(0, width * size, width)]
@@ -586,35 +587,16 @@ class PolynomialRing(Ring):
             if self.base.is_zero(c):
                 continue
             cs = self.base.format(c)
-            term = cs if k == 0 else "%s*%s^%d" % (cs, self.var, k)
-            parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+            parts.append(cs if k == 0 else "%s*%s^%d" % (cs, self.var, k))
+        return _join_terms(parts)
 
     def parse(self, s):
-        terms = _split_terms(s)
-        coeffs = {}
-        for t in terms:
-            m = _TERM_RE.match(t)
-            if not m:
-                raise ParseError("bad polynomial term %r" % t)
-            c = int(m.group(1))
-            k = 0
-            for piece in filter(None, m.group(2).split("*")):
-                var, _, exp = piece.partition("^")
-                if var != self.var:
-                    raise ParseError("unknown variable %r" % var)
-                k += int(exp)
-            cur = coeffs.get(k, self.base.zero)
-            coeffs[k] = self.base.add(cur, self.base.from_int(c))
-        if not coeffs:
-            return ()
-        out = [self.base.zero] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return tuple(poly.strip(self.base, out))
+        base = self.base
+        terms = _parse_terms(s, (self.var,))
+        out = [base.zero] * (max(terms, default=(-1,))[0] + 1)
+        for (k,), c in terms.items():
+            out[k] = base.from_int(c)
+        return tuple(poly.strip(base, out))
 
     def random_element(self, rng, degree=2, bound=99):
         out = [self.base.random_element(rng, bound) for _ in range(degree + 1)]
@@ -634,6 +616,29 @@ def _split_terms(s):
             cur += ch
     terms.append(cur)
     return [t.lstrip("+") or t for t in terms if t not in ("", "+")]
+
+
+def _parse_terms(s, varnames):
+    """{exponent-tuple: summed integer coefficient} of a polynomial literal."""
+    out = {}
+    for t in _split_terms(s):
+        m = _TERM_RE.match(t)
+        if not m:
+            raise ParseError("bad polynomial term %r" % t)
+        e = [0] * len(varnames)
+        for piece in filter(None, m.group(2).split("*")):
+            var, _, exp = piece.partition("^")
+            if var not in varnames:
+                raise ParseError("unknown variable %r" % var)
+            e[varnames.index(var)] += int(exp)
+        e = tuple(e)
+        out[e] = out.get(e, 0) + int(m.group(1))
+    return out
+
+
+def _join_terms(parts):
+    """'a+b-c' from the terms ['a', 'b', '-c']."""
+    return parts[0] + "".join(t if t.startswith("-") else "+" + t for t in parts[1:])
 
 
 def _gcd_int_poly(a, b):
@@ -671,187 +676,135 @@ def _make_positive(a):
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials over Z or Z/pZ
+# multivariate polynomials over Z or Z/mZ, and triangular quotients of
+# them: towers of the univariate ring, elements nested dense tuples
 
-class MultiPolynomialRing(Ring):
-    """Z[vars] (p=None) or Z/p[vars]; elements are {exp-tuple: int} dicts."""
+class MultiPolynomialRing(PolynomialRing):
+    """Z[v1..vk] (p=None) or Z/p[v1..vk]: the polynomials in vk over
+    MultiPolynomialRing(p, v1..v(k-1)), or over Z or Z/p for k = 1.
+
+    Elements are nested dense tuples, vk outermost.  Arithmetic is the
+    univariate ring's: mul is the base's product hook (Kronecker at the
+    bottom over Z/p), exact division the recursive divmod_poly.  format,
+    parse and random_element go through exponent dicts (multipoly).
+    """
+
+    gcd = unit_normal = None        # so FractionField refuses the ring
 
     def __init__(self, p, varnames):
         if p is not None and p < 2:
             raise ValueError("modulus must be >= 2")
         self.p = p
         self.vars = tuple(varnames)
-        k = len(self.vars)
+        self.scalars = ZZ if p is None else IntegersMod(p)
+        base = self.scalars if len(self.vars) == 1 else MultiPolynomialRing(p, self.vars[:-1])
+        super().__init__(base, self.vars[-1])
         coeff_name = "Z" if p is None else "zp:%d" % p
         self.name = "%s[%s]" % (coeff_name, ",".join(self.vars))
-        self.zero = {}
-        self.one = mp.mp_const(1, k, p)
-        prime = p is None or _is_probable_prime(p)
+        prime = self.scalars.spec.is_integral_domain
         self.spec = RingSpec(0 if p is None else p,
                              prime, False, prime,
                              None if p is None else p - 1, frozenset())
 
-    def nvars(self):
-        return len(self.vars)
-
-    def from_int(self, k):
-        return mp.mp_const(k, len(self.vars), self.p)
-
-    def add(self, a, b):
-        return mp.mp_add(a, b, self.p)
-
-    def sub(self, a, b):
-        return mp.mp_sub(a, b, self.p)
-
-    def mul(self, a, b):
-        return mp.mp_mul(a, b, self.p)
-
-    def neg(self, a):
-        return mp.mp_neg(a, self.p)
-
-    def exact_div(self, a, b):
-        if not b:
-            raise ZeroDivisor("exact division by zero")
-        return mp.mp_exact_div(a, b, self.p)
-
     def div_by_int(self, a, k):
-        if k <= 0:
-            raise IntegerNotInvertible("integer divisor must be positive")
-        if self.p is None:
-            out = {}
-            for e, c in a.items():
-                q, r = divmod(c, k)
-                if r:
-                    raise NotDivisible("coefficient %d not divisible by %d" % (c, k))
-                out[e] = q
-            return mp.mp_trim(out)
-        if math.gcd(k, self.p) != 1:
-            raise IntegerNotInvertible("%d is not invertible mod %d" % (k, self.p))
-        inv = pow(k, -1, self.p)
-        return mp.mp_scale(a, inv, self.p)
-
-    def bit_size(self, a):
-        return max((abs(c).bit_length() for c in a.values()), default=0)
+        if not a:       # the scalar ring vets k even when a is zero
+            self.scalars.div_by_int(self.scalars.zero, k)
+        return PolynomialRing.div_by_int(self, a, k)
 
     def format(self, a):
-        if not a:
+        d = mp.to_dict(a, len(self.vars))
+        if not d:
             return "0"
         parts = []
-        for e in sorted(a, key=lambda e: (sum(e), e), reverse=True):
-            c = a[e]
-            bits = [str(c)]
+        for e in sorted(d, key=lambda e: (sum(e), e), reverse=True):
+            bits = [str(d[e])]
             for var, k in zip(self.vars, e):
                 if k:
                     bits.append("%s^%d" % (var, k))
             parts.append("*".join(bits))
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return _join_terms(parts)
 
     def parse(self, s):
-        out = {}
-        for t in _split_terms(s):
-            m = _TERM_RE.match(t)
-            if not m:
-                raise ParseError("bad polynomial term %r" % t)
-            c = int(m.group(1))
-            e = [0] * len(self.vars)
-            for piece in filter(None, m.group(2).split("*")):
-                var, _, exp = piece.partition("^")
-                if var not in self.vars:
-                    raise ParseError("unknown variable %r" % var)
-                e[self.vars.index(var)] += int(exp)
-            e = tuple(e)
-            out[e] = out.get(e, 0) + c
-        return mp.mp_trim(out, self.p)
+        return mp.from_dict(_parse_terms(s, self.vars), len(self.vars), self.p)
 
     def random_element(self, rng, total_degree=2, bound=99):
         k = len(self.vars)
-        out = {}
-        for e in _exponents_upto(k, total_degree):
-            c = rng.int_between(-bound, bound) if self.p is None else rng.below(self.p)
-            out[e] = c
-        return mp.mp_trim(out, self.p)
+        return mp.from_dict({e: self.scalars.random_element(rng, bound)
+                             for e in mp.exponents_upto(k, total_degree)}, k)
 
 
-def _exponents_upto(nvars, total):
-    if nvars == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for rest in _exponents_upto(nvars - 1, total - head):
-            yield (head,) + rest
+class QuotientRing(PolynomialRing):
+    """Z/p[v1..vk]/<I1..Ik> with Ii monic in vi and involving only v1..vi,
+    as a tower of univariate quotients (Li, Moreno Maza and Schost, "Fast
+    arithmetic for triangular sets", JSC 2009): the vk-polynomials over
+    QuotientRing(p, v1..v(k-1), I1..I(k-1)), or over Z/p for k = 1,
+    modulo Ik.
 
-
-# ---------------------------------------------------------------------------
-# triangular quotient rings Z/p[vars]/<ideal>
-
-class QuotientRing(Ring):
-    """Z/p[v1..vk]/<I1..Ik> with Ii monic in vi and involving only v1..vi.
-
-    Elements are reduced sparse dicts; reduction divides successively by
-    Ik, ..., I1 (descending keeps earlier reductions stable).
+    Elements are the reduced MultiPolynomialRing(p, vars) elements, and
+    the generators are MultiPolynomialRing(p, vars) elements.  A product's
+    coefficients are already reduced, so mul divides by Ik alone; the full
+    normal form (reduce) runs for parse, the generators and
+    quotient_reduce.
     """
+
+    exact_div = Ring.exact_div      # division by the units +-1 only
+    gcd = unit_normal = None
+    div_by_int = MultiPolynomialRing.div_by_int     # vets k on zero too
 
     def __init__(self, p, varnames, ideal):
         if not _is_probable_prime(p):
             raise ValueError("quotient rings are built over prime p")
-        self.p = p
-        self.vars = tuple(varnames)
-        k = len(self.vars)
+        varnames = tuple(varnames)
+        k = len(varnames)
         if len(ideal) != k:
             raise NonTriangularIdeal("need one generator per variable")
-        self.ideal = [mp.mp_trim(g, p) for g in ideal]
-        for i, g in enumerate(self.ideal):
-            d = mp.mp_deg_in(g, i)
-            if d < 1:
-                raise NonTriangularIdeal("generator %d has no %s term" % (i, self.vars[i]))
-            lead = [(e, c) for e, c in g.items() if e[i] == d]
-            if lead != [((0,) * i + (d,) + (0,) * (k - i - 1), 1)]:
-                raise NonTriangularIdeal(
-                    "generator %d is not monic in %s" % (i, self.vars[i]))
-            for e in g:
-                if any(e[j] for j in range(i + 1, k)):
-                    raise NonTriangularIdeal(
-                        "generator %d involves a later variable" % i)
-        self.zero = {}
-        self.one = mp.mp_const(1, k, p)
+        *lower, top = ideal
+        for i, g in enumerate(lower):
+            if len(g) > 1:
+                raise NonTriangularIdeal("generator %d involves a later variable" % i)
         self._poly = MultiPolynomialRing(p, varnames)
+        if k == 1:
+            base = self._poly.scalars
+        else:
+            base = QuotientRing(p, varnames[:-1], [g[0] if g else () for g in lower])
+        if len(top) < 2:
+            raise NonTriangularIdeal("generator %d has no %s term" % (k - 1, varnames[-1]))
+        if top[-1] != self._poly.base.one:
+            raise NonTriangularIdeal("generator %d is not monic in %s" % (k - 1, varnames[-1]))
+        super().__init__(base, varnames[-1])
+        self.p = p
+        self.vars = varnames
+        self.scalars = self._poly.scalars
+        self.degrees = (base.degrees if k > 1 else ()) + (len(top) - 1,)
+        self.modulus = self._reduce_coefficients(top)
         self.name = "zp:%d[%s]/%s" % (
-            p, ",".join(self.vars), ";".join(self._poly.format(g) for g in self.ideal))
+            p, ",".join(varnames), ";".join(self._poly.format(g) for g in ideal))
         self.spec = RingSpec(p, False, False, False, p - 1, frozenset())
 
+    def _reduce_coefficients(self, a):
+        lower = self.base.reduce if isinstance(self.base, QuotientRing) else self.base.from_int
+        return [lower(c) for c in a]
+
+    def _rem(self, r):
+        """r (a list, coefficients reduced) modulo the monic modulus in the
+        top variable."""
+        base, g = self.base, self.modulus
+        d = len(g) - 1
+        zero = base.zero
+        for top in range(len(r) - 1, d - 1, -1):
+            c = r.pop()
+            if c != zero:
+                r[top - d:top] = base.submul(r[top - d:top], c, g)
+        while r and r[-1] == zero:
+            r.pop()
+        return tuple(r)
+
     def reduce(self, a):
-        r = mp.mp_trim(a, self.p)
-        for i in range(len(self.ideal) - 1, -1, -1):
-            r = mp.mp_rem(r, self.ideal[i], i, self.p)
-        return r
-
-    def from_int(self, k):
-        return mp.mp_const(k, len(self.vars), self.p)
-
-    def add(self, a, b):
-        return mp.mp_add(a, b, self.p)
-
-    def sub(self, a, b):
-        return mp.mp_sub(a, b, self.p)
-
-    def neg(self, a):
-        return mp.mp_neg(a, self.p)
+        """Normal form of a MultiPolynomialRing(p, vars) element."""
+        return self._rem(self._reduce_coefficients(a))
 
     def mul(self, a, b):
-        return self.reduce(mp.mp_mul(a, b, self.p))
-
-    def div_by_int(self, a, k):
-        if k <= 0:
-            raise IntegerNotInvertible("integer divisor must be positive")
-        if math.gcd(k, self.p) != 1:
-            raise IntegerNotInvertible("%d is not invertible mod %d" % (k, self.p))
-        return mp.mp_scale(a, pow(k, -1, self.p), self.p)
-
-    def bit_size(self, a):
-        return max((c.bit_length() for c in a.values()), default=0)
+        return self._rem(self.base.product(a, b))
 
     def format(self, a):
         return self._poly.format(a)
@@ -860,26 +813,16 @@ class QuotientRing(Ring):
         return self.reduce(self._poly.parse(s))
 
     def random_element(self, rng, bound=None):
-        out = {}
-        degs = [mp.mp_deg_in(self.ideal[i], i) for i in range(len(self.vars))]
-        for e in _exponents_below(degs):
-            out[e] = rng.below(self.p)
-        return mp.mp_trim(out, self.p)
-
-
-def _exponents_below(degs):
-    if not degs:
-        yield ()
-        return
-    for head in range(degs[0]):
-        for rest in _exponents_below(degs[1:]):
-            yield (head,) + rest
+        return mp.from_dict({e: rng.below(self.p) for e in mp.exponents_below(self.degrees)},
+                            len(self.vars))
 
 
 def quotient_reduce(ring_or_p, polynomial, ideal=None, varnames=None):
     """Canonical representative of a polynomial modulo a triangular ideal.
 
-    Either pass a QuotientRing, or (p, poly-dict, ideal-dicts, varnames).
+    Either pass a QuotientRing, or (p, polynomial, ideal, varnames) with
+    the polynomial and the generators MultiPolynomialRing(p, varnames)
+    elements.
     """
     if isinstance(ring_or_p, QuotientRing):
         return ring_or_p.reduce(polynomial)
@@ -896,7 +839,7 @@ class FractionField(Ring):
     def __init__(self, base):
         if not base.spec.is_integral_domain:
             raise ValueError("fraction field needs an integral domain")
-        if not hasattr(base, "gcd"):
+        if getattr(base, "gcd", None) is None:
             raise Unsupported("%s has no gcd; cannot normalize fractions" % base.name)
         self.base = base
         self.name = "Frac(%s)" % base.name

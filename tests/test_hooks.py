@@ -78,6 +78,16 @@ def test_integer_dot_addmul_submul_match_literal(xs, ys, c):
     assert ZZ.submul(ys, c, xs) == Ring.submul(ZZ, ys, c, xs)
 
 
+def test_zp_product_reduces_operands_outside_the_residue_range():
+    # a matrix built from raw ints hands the hook entries outside [0, m),
+    # which the Kronecker slots are not sized for
+    ring = IntegersMod(7)
+    big = [1000] * 12
+    for a, b in (([-1] * 12, [1] * 12), (big, big), (big, [-7 ** 20] * 15)):
+        for order in (None, 3, 20):
+            assert ring.product(a, b, order) == Ring.product(ring, a, b, order), (a, b, order)
+
+
 def test_counting_ring_takes_the_literal_defaults():
     counted = CountingRing(IntegersMod(10007))
     for hook in ("dot", "addmul", "submul", "product"):

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactla.errors import (IntegerNotInvertible, NonTriangularIdeal,
-                            NotDivisible, ZeroDivisor)
+                            NotDivisible, Unsupported, ZeroDivisor)
 from exactla.matrix import DenseMatrix
+from exactla.multipoly import to_dict
 from exactla.elimination import gauss_lu
 from exactla.rings import (QQ, ZZ, CountingRing, FractionField, IntegersMod,
-                           MultiPolynomialRing, PolynomialRing, QuotientRing,
+                           MultiPolynomialRing, PolynomialRing, QuotientRing, RingSpec,
                            ring_from_string, quotient_reduce, with_counting)
 from exactla.rng import Rng
 
@@ -132,9 +133,50 @@ def test_quotient_ring_bivariate_book_example():
         b = qr.random_element(rng)
         ab = qr.mul(a, b)
         # canonical: degrees below the ideal degrees
-        for e in ab:
+        for e in to_dict(ab, 2):
             assert e[0] < 3 and e[1] < 5
         assert qr.mul(a, qr.one) == a
+
+
+def test_tower_rings_keep_their_specs_and_error_contract():
+    # the multivariate and quotient rings are PolynomialRing towers, but
+    # they keep their own capability flags and refuse what PolynomialRing
+    # would allow
+    specs = {
+        "Z[x,y]": RingSpec(0, True, False, True, None, frozenset()),
+        "zp:11[x,y]": RingSpec(11, True, False, True, 10, frozenset()),
+        "zp:12[x,y]": RingSpec(12, False, False, False, 11, frozenset()),
+        "zp:11[x,y]/1*x^2+-3;1*y^2+-1*x^1": RingSpec(11, False, False, False, 10, frozenset()),
+    }
+    for spec, want in specs.items():
+        assert ring_from_string(spec).spec == want, spec
+    zxy = ring_from_string("Z[x,y]")
+    with pytest.raises(Unsupported):
+        FractionField(zxy)
+    qr = ring_from_string("zp:11[x,y]/1*x^2+-3;1*y^2+-1*x^1")
+    x, minus_one = qr.parse("1*x^1"), qr.neg(qr.one)
+    assert qr.exact_div(x, minus_one) == qr.neg(x)
+    assert qr.inverse_of_unit(minus_one) == minus_one
+    with pytest.raises(NotDivisible):
+        qr.exact_div(qr.mul(x, x), x)      # only the units +-1 divide
+    with pytest.raises(NotDivisible):
+        qr.inverse_of_unit(x)              # a unit (x^2 = 3), but not +-1
+    with pytest.raises(ZeroDivisor):
+        qr.exact_div(x, qr.zero)
+    for ring in (qr, ring_from_string("zp:11[x,y]"), ring_from_string("zp:12[x,y]")):
+        for a in (ring.zero, ring.one):
+            for k in (0, 22):
+                with pytest.raises(IntegerNotInvertible):
+                    ring.div_by_int(a, k)
+    with pytest.raises(IntegerNotInvertible):
+        zxy.div_by_int(zxy.zero, 0)
+    with pytest.raises(NotDivisible):
+        zxy.div_by_int(zxy.one, 2)
+    helper = MultiPolynomialRing(7, ["x", "y"])
+    good = [helper.parse("1*x^2+1"), helper.parse("1*y^2+1*x^1")]
+    for bad in ([good[0]], [helper.parse("3"), good[1]], [good[0], helper.parse("1*x^3")]):
+        with pytest.raises(NonTriangularIdeal):
+            QuotientRing(7, ["x", "y"], bad)
 
 
 def test_counting_scope_examples():

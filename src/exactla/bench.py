@@ -90,7 +90,11 @@ def generate_matrix(case, ring=None):
     if g == 4:
         return jou_matrix(n, ring)
     if g == 5:
-        nonzeros = int(case.param("nonzeros", 2 * n))
+        try:
+            nonzeros = int(case.param("nonzeros", 2 * n))
+        except ValueError:
+            raise InvalidGroupParams("group-5 nonzeros must be an integer, got %r"
+                                     % (case.param("nonzeros"),))
         entries = [0] * (n * n)
         placed = 0
         while placed < min(nonzeros, n * n):
@@ -182,18 +186,8 @@ def _digest_in_base(cp, base_ring):
 def run_case(case):
     """Instrumented single run; returns a BenchRecord."""
     entry_ring = group_ring(case)
-    if case.group in (1, 5):
-        counted = CountingRing(ZZ, track_bits=True)
-        ring = counted
-        a = generate_matrix(case, ring)
-    elif case.group == 4:
-        counted = CountingRing(ZZ, track_bits=True)
-        ring = PolynomialRing(counted, "x")
-        a = generate_matrix(case, ring)
-    else:
-        counted = CountingRing(entry_ring, track_bits=True)
-        ring = counted
-        a = generate_matrix(case, ring)
+    counted = CountingRing(ZZ if case.group in (1, 4, 5) else entry_ring, track_bits=True)
+    a = generate_matrix(case, PolynomialRing(counted, "x") if case.group == 4 else counted)
     algo = registry.get(case.algo)
     lift, reason = algo.plan(entry_ring, case.n)
     if reason is not None:

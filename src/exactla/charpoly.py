@@ -110,14 +110,8 @@ def charpoly_berkowitz(a, sparse_aware=False):
                  for j in range(r - 1)]
         c[r + 1] = _dot_row(ring, rows[r - 1], s,
                             nz[r - 1] if sparse_aware else None)
-        newv = []
-        for i in range(1, r + 2):
-            acc = None
-            for j in range(1, min(r, i) + 1):
-                t = ring.mul(c[i + 1 - j], v[j - 1])
-                acc = t if acc is None else ring.add(acc, t)
-            newv.append(acc)
-        v = newv
+        # Toeplitz times vector: entry i is the sum of c[i+1-j]*v[j-1], j = 1..min(r, i)
+        v = [ring.dot(c[i:max(i - r, 0):-1], v) for i in range(1, r + 2)]
     return CharPoly(ring, v)
 
 
@@ -565,18 +559,11 @@ def charpoly_kaltofen(a):
     v = [sr.from_base(ring.from_int(x)) for x in kaltofen_center_vector(n)]
     seq = [v[0]]
     for _ in range(2 * n - 1):
-        v = [_series_dot(sr, brows[i], v) for i in range(n)]
+        v = [sr.dot(brows[i], v) for i in range(n)]
         seq.append(v[0])
     gen = _polgenmin(sr, seq, n)
     asc = [sr.eval_at_one(c) for c in gen]
     return _sign_normalize(ring, asc, n)
-
-
-def _series_dot(sr, row, v):
-    acc = sr.mul(row[0], v[0])
-    for k in range(1, len(v)):
-        acc = sr.add(acc, sr.mul(row[k], v[k]))
-    return acc
 
 
 def _polgenmin(sr, seq, n):
@@ -716,8 +703,7 @@ def eigenvector_simple(a, lam, cp=None):
     for col in range(n):
         v = [ring.one if i == col else ring.zero for i in range(n)]
         for k in range(1, n):
-            bcol = bmats[k].col(col)
-            v = [ring.add(ring.mul(lam, v[i]), bcol[i]) for i in range(n)]
+            v = ring.addmul(bmats[k].col(col), lam, v)
         if any(not ring.is_zero(x) for x in v):
             return v
     raise AdjointVanishes("Adj(lambda*I - A) = 0: eigenspace dimension >= 2")

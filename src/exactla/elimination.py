@@ -72,15 +72,7 @@ def gauss_lu(a):
                 rank = p
                 break
             _gauss_step(ring, w, p, divide)
-    lmat = DenseMatrix.identity(ring, m)
-    umat = DenseMatrix.zeros(ring, m, n)
-    for i in range(m):
-        for j in range(n):
-            if j < min(i, rank):
-                lmat.entries[i * m + j] = w[i][j]
-            elif j >= i:
-                umat.entries[i * n + j] = w[i][j]
-    return LUFactors(lmat, umat, rank)
+    return LUFactors(*_split_lu(ring, w, rank), rank)
 
 
 @contextmanager
@@ -96,12 +88,24 @@ def _gauss_step(ring, w, p, divide):
     """Eliminate column p below row p, keeping each multiplier in w[i][p]."""
     rp = w[p]
     piv = rp[p]
-    mul, sub = ring.mul, ring.sub
+    tail = rp[p + 1:]
     for i in range(p + 1, len(w)):
         wi = w[i]
         c = wi[p] = divide(wi[p], piv)
-        for j in range(p + 1, len(rp)):
-            wi[j] = sub(wi[j], mul(c, rp[j]))
+        wi[p + 1:] = ring.submul(wi[p + 1:], c, tail)
+
+
+def _split_lu(ring, w, rank):
+    """(L, U) of rows eliminated by _gauss_step: L is unit lower triangular
+    with the multipliers of the first `rank` columns, U the upper triangle."""
+    m, n = len(w), len(w[0])
+    zero = ring.zero
+    lrows, urows = [], []
+    for i, row in enumerate(w):
+        k = min(i, rank)
+        lrows.append(row[:k] + [zero] * (i - k) + [ring.one] + [zero] * (m - i - 1))
+        urows.append([zero] * min(i, n) + row[i:])
+    return DenseMatrix.from_rows(ring, lrows), DenseMatrix.from_rows(ring, urows)
 
 
 def _bareiss_step(ring, w, p, den):
@@ -154,15 +158,7 @@ def lup_surjective(a):
             perm[p], perm[j] = perm[j], perm[p]
             sign = -sign
         _gauss_step(ring, w, p, ring.div)
-    lmat = DenseMatrix.identity(ring, m)
-    umat = DenseMatrix.zeros(ring, m, n)
-    for i in range(m):
-        for j in range(n):
-            if j < i:
-                lmat.entries[i * m + j] = w[i][j]
-            else:
-                umat.entries[i * n + j] = w[i][j]
-    return LUPFactors(lmat, umat, perm, sign)
+    return LUPFactors(*_split_lu(ring, w, m), perm, sign)
 
 
 BH_RECURSION_FLOOR = 8
@@ -201,24 +197,12 @@ def bunch_hopcroft(a):
     f2 = bunch_hopcroft(e)
     l2, u2, p2 = f2.L, f2.U, f2.perm
     b2 = _reorder_cols(b, p2)
-    lmat = DenseMatrix.zeros(ring, m, m)
-    for i in range(n0):
-        for j in range(n0):
-            lmat.entries[i * m + j] = l1.at(i, j)
-    for i in range(n1):
-        for j in range(n0):
-            lmat.entries[(n0 + i) * m + j] = c1.at(i, j)
-        for j in range(n1):
-            lmat.entries[(n0 + i) * m + n0 + j] = l2.at(i, j)
-    umat = DenseMatrix.zeros(ring, m, n)
-    for i in range(n0):
-        for j in range(n0):
-            umat.entries[i * n + j] = v1.at(i, j)
-        for j in range(n - n0):
-            umat.entries[i * n + n0 + j] = b2.at(i, j)
-    for i in range(n1):
-        for j in range(n - n0):
-            umat.entries[(n0 + i) * n + n0 + j] = u2.at(i, j)
+    zero = ring.zero
+    # L = [[L1, 0], [C1, L2]] and U = [[V1, B2], [0, U2]], row by row
+    lmat = DenseMatrix.from_rows(ring, [r + [zero] * n1 for r in l1.to_rows()] +
+                                 [x + y for x, y in zip(c1.to_rows(), l2.to_rows())])
+    umat = DenseMatrix.from_rows(ring, [x + y for x, y in zip(v1.to_rows(), b2.to_rows())] +
+                                 [[zero] * n0 + r for r in u2.to_rows()])
     perm = list(p1[:n0]) + [p1[n0 + k] for k in p2]
     sign = f1.sign * f2.sign
     return LUPFactors(lmat, umat, perm, sign)

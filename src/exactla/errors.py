@@ -49,10 +49,6 @@ class ExactDivisionFailed(ExactLAError):
     """A fraction-free elimination step left the ring (broken precondition)."""
 
 
-class ZeroDominantMinor(ExactLAError):
-    """A dominant principal minor needed as pivot/denominator is zero."""
-
-
 class ZeroConnectedMinor(ExactLAError):
     """Dodgson condensation hit a zero connected minor (the method's known failure mode)."""
 

@@ -227,24 +227,20 @@ def _tri_inv(ring, a, side):
         except NOT_A_UNIT:
             raise NotInvertibleDiagonal("diagonal entry is not invertible")
     h = n // 2
-    a1 = [r[:h] for r in a[:h]]
-    a2 = [r[h:] for r in a[h:]]
-    inv1 = _tri_inv(ring, a1, side)
-    inv2 = _tri_inv(ring, a2, side)
+    inv1 = _tri_inv(ring, [r[:h] for r in a[:h]], side)
+    inv2 = _tri_inv(ring, [r[h:] for r in a[h:]], side)
+    # [[A1, 0], [A3, A2]]^-1 = [[inv1, 0], [-inv2*A3*inv1, inv2]], and
+    # [[A1, A3], [0, A2]]^-1 = [[inv1, -inv1*A3*inv2], [0, inv2]]
     if side == "lower":
-        a3 = [r[:h] for r in a[h:]]
-        corner = _classical(ring, _classical(ring, inv2, a3), inv1)
-        corner = [[ring.neg(x) for x in r] for r in corner]
-        z = [[ring.zero] * h for _ in range(h)]
-        top, bottom, left = inv1, inv2, corner
-        return ([top[i] + z[i] for i in range(h)] +
-                [left[i] + bottom[i] for i in range(h)])
-    a3 = [r[h:] for r in a[:h]]
-    corner = _classical(ring, _classical(ring, inv1, a3), inv2)
-    corner = [[ring.neg(x) for x in r] for r in corner]
+        a3, first, last = [r[:h] for r in a[h:]], inv2, inv1
+    else:
+        a3, first, last = [r[h:] for r in a[:h]], inv1, inv2
+    corner = [[ring.neg(x) for x in r]
+              for r in _classical(ring, _classical(ring, first, a3), last)]
     z = [[ring.zero] * h for _ in range(h)]
-    return ([inv1[i] + corner[i] for i in range(h)] +
-            [z[i] + inv2[i] for i in range(h)])
+    top, bottom = (z, corner) if side == "lower" else (corner, z)
+    return ([x + y for x, y in zip(inv1, top)] +
+            [x + y for x, y in zip(bottom, inv2)])
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,7 @@ def divmod_poly(ring, a, b):
             continue
         c = divide(top)
         q[k] = c
-        for i in range(db + 1):
-            r[k + i] = ring.sub(r[k + i], ring.mul(c, b[i]))
+        r[k:k + db + 1] = ring.submul(r[k:k + db + 1], c, b)
     return strip(ring, q), strip(ring, r)
 
 

@@ -206,11 +206,6 @@ class IntegerRing(Ring):
             raise NotDivisible("%d does not divide %d" % (b, a))
         return q
 
-    def div_by_int(self, a, k):
-        if k <= 0:
-            raise IntegerNotInvertible("integer divisor must be positive")
-        return self.exact_div(a, k)
-
     def gcd(self, a, b):
         return math.gcd(a, b)
 
@@ -261,11 +256,6 @@ class RationalField(Ring):
         return a / b
 
     exact_div = div
-
-    def div_by_int(self, a, k):
-        if k <= 0:
-            raise IntegerNotInvertible("integer divisor must be positive")
-        return a / k
 
     def bit_size(self, a):
         return max(a.numerator.bit_length(), a.denominator.bit_length())
@@ -540,6 +530,11 @@ class PolynomialRing(Ring):
         return tuple(poly.exact_div_poly(self.base, list(a), list(b)))
 
     def div_by_int(self, a, k):
+        if not a:       # vet k as for a nonzero a, without counting an op
+            base = self.base
+            while isinstance(base, CountingRing):
+                base = base.inner
+            base.div_by_int(base.zero, k)
         return tuple(self.base.div_by_int(c, k) for c in a)
 
     def gcd(self, a, b):
@@ -706,11 +701,6 @@ class MultiPolynomialRing(PolynomialRing):
                              prime, False, prime,
                              None if p is None else p - 1, frozenset())
 
-    def div_by_int(self, a, k):
-        if not a:       # the scalar ring vets k even when a is zero
-            self.scalars.div_by_int(self.scalars.zero, k)
-        return PolynomialRing.div_by_int(self, a, k)
-
     def format(self, a):
         d = mp.to_dict(a, len(self.vars))
         if not d:
@@ -749,7 +739,6 @@ class QuotientRing(PolynomialRing):
 
     exact_div = Ring.exact_div      # division by the units +-1 only
     gcd = unit_normal = None
-    div_by_int = MultiPolynomialRing.div_by_int     # vets k on zero too
 
     def __init__(self, p, varnames, ideal):
         if not _is_probable_prime(p):

@@ -38,7 +38,3 @@ class Rng:
     def int_between(self, lo, hi):
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.below(hi - lo + 1)
-
-    def fork(self):
-        """Independent child stream (used to give sub-generators stable seeds)."""
-        return Rng(self.next64())

@@ -82,7 +82,6 @@ def wiedemann_minpoly(a, seed, retries=4, degree_target=None):
     ring = a.ring
     n = a.rows
     rng = Rng(seed)
-    best = None
     for _ in range(max(1, retries)):
         u = [ring.random_element(rng) for _ in range(n)]
         v = [ring.random_element(rng) for _ in range(n)]
@@ -98,13 +97,7 @@ def wiedemann_minpoly(a, seed, retries=4, degree_target=None):
             continue
         if not generates(ring, gen, terms):
             continue
-        if best is None or len(gen) > len(best):
-            best = gen
         if degree_target is None or len(gen) - 1 >= degree_target:
             return gen
-    if best is not None and degree_target is None:
-        return best
-    if degree_target is not None and best is not None and len(best) - 1 >= degree_target:
-        return best
     raise RetriesExhausted("no generator of degree >= %s found in %d tries"
                            % (degree_target, retries))

@@ -154,7 +154,8 @@ def test_cli_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
     for cfg_text in ("groups=1\nsizes=3\nalgos=nosuch\n",
-                     "groups=3\nsizes=3\np=abc\n"):
+                     "groups=3\nsizes=3\np=abc\n",
+                     "groups=5\nsizes=4\nalgos=berkowitz\nnonzeros=abc\n"):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(cfg_text)
         assert main(["bench", "--config", str(cfg), "--out-csv", str(tmp_path / "o.csv"),

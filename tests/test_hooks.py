@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactla import matrix, poly, registry, sequences
+from exactla import charpoly, matrix, poly, registry, sequences
+from exactla.elimination import det_field, gauss_lu
 from exactla.matrix import DenseMatrix
 from exactla.rings import ZZ, CountingRing, IntegersMod, Ring
 from exactla.rng import Rng
@@ -125,10 +126,19 @@ def test_algorithms_agree_uncounted_and_counted(p):
             assert got == algo.run(_counted(a)).coeffs, (algo.id, n)
         assert (sequences.wiedemann_minpoly(a, n) ==
                 sequences.wiedemann_minpoly(_counted(a), n)), n
+        assert det_field(a) == det_field(_counted(a)), n
+        lu, counted_lu = gauss_lu(a), gauss_lu(_counted(a))
+        assert (lu.L.entries, lu.U.entries, lu.rank_detected) == (
+            counted_lu.L.entries, counted_lu.U.entries, counted_lu.rank_detected), n
         rng = Rng(n)
+        lam = rng.below(p)
+        assert (charpoly.eigenvector_simple(a, lam) ==
+                charpoly.eigenvector_simple(_counted(a), lam)), n
         s = [1 + rng.below(p - 1)] + [rng.below(p) for _ in range(3 * n)]
         assert (poly.series_inverse(ring, s, 3 * n) ==
                 poly.series_inverse(CountingRing(ring), s, 3 * n)), n
+        assert (poly.divmod_poly(ring, s, s[:n + 1]) ==
+                poly.divmod_poly(CountingRing(ring), s, s[:n + 1])), n
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -10,7 +10,7 @@ from exactla.matrix import DenseMatrix
 from exactla.multipoly import to_dict
 from exactla.elimination import gauss_lu
 from exactla.rings import (QQ, ZZ, CountingRing, FractionField, IntegersMod,
-                           MultiPolynomialRing, PolynomialRing, QuotientRing, RingSpec,
+                           MultiPolynomialRing, OpStats, PolynomialRing, QuotientRing, RingSpec,
                            ring_from_string, quotient_reduce, with_counting)
 from exactla.rng import Rng
 
@@ -93,6 +93,18 @@ def test_div_by_integer_examples():
         F7.div_by_int(3, 7)
     with pytest.raises(IntegerNotInvertible):
         ZZ.div_by_int(5, 0)
+    # polynomials vet k on zero as on any other element, and a counted
+    # base counts nothing for it
+    for ring, k in ((ZX, 0), (PolynomialRing(F7, "x"), 7)):
+        for a in (ring.zero, ring.one):
+            with pytest.raises(IntegerNotInvertible):
+                ring.div_by_int(a, k)
+    counted = CountingRing(ZZ)
+    czx = PolynomialRing(counted, "x")
+    assert czx.div_by_int(czx.zero, 3) == czx.zero
+    with pytest.raises(IntegerNotInvertible):
+        czx.div_by_int(czx.zero, 0)
+    assert counted.stats == OpStats()
 
 
 def test_div_by_integer_unique_by_enumeration():

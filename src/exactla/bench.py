@@ -2,7 +2,8 @@
 validation across algorithms, and instrumented timing/op-count runs.
 
 Operation counting instruments the innermost scalar ring (Z coefficients
-for the integer and Z[x] families); for the multivariate families
+for the integer and Z[x] families, Q where an algorithm lifts integer
+input to Q); for the multivariate families
 (groups 2 and 3) the counters record entry-ring operations instead.
 Their entry rings are towers of univariate rings whose coefficient
 arithmetic is ring-routed too, but the counters stay on the entry ring
@@ -13,10 +14,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import registry
-from .errors import ConfigError, InvalidGroupParams, Unsupported
+from .errors import (ConfigError, InvalidGroupParams, NotApplicable, ParseError,
+                     Unsupported)
 from .matrix import DenseMatrix
-from .rings import (ZZ, CountingRing, MultiPolynomialRing, OpStats,
-                    PolynomialRing, QuotientRing)
+from .rings import (ZZ, CountingRing, MultiPolynomialRing, OpStats, PolynomialRing,
+                    ring_from_string)
 from .rng import Rng
 
 
@@ -57,23 +59,18 @@ def group_ring(case):
         return MultiPolynomialRing(None, ("x", "y"))
     if g == 3:
         try:
-            p = int(case.param("p", 7))
-            varnames = [v.strip() for v in str(case.param("vars", "x")).split(",")]
-            helper = MultiPolynomialRing(p, varnames)
-            ideal_lit = str(case.param("ideal", "1*x^3+-1"))
-            gens = [helper.parse(t) for t in ideal_lit.split(";")]
-            return QuotientRing(p, varnames, gens)
-        except ValueError as e:
+            return ring_from_string("zp:%s[%s]/%s" % (
+                case.param("p", 7), case.param("vars", "x"), case.param("ideal", "1*x^3+-1")))
+        except ParseError as e:
             raise InvalidGroupParams("group-3 ring parameters: %s" % e)
     if g == 4:
         return PolynomialRing(ZZ, "x")
     raise InvalidGroupParams("group must be 1..5, got %r" % (g,))
 
 
-def generate_matrix(case, ring=None):
+def generate_matrix(case):
     """Deterministic matrix for a case; same case, same bits anywhere."""
-    if ring is None:
-        ring = group_ring(case)
+    ring = group_ring(case)
     n = case.n
     if n < 1:
         raise InvalidGroupParams("matrix order must be positive")
@@ -88,41 +85,37 @@ def generate_matrix(case, ring=None):
     if g == 3:
         return DenseMatrix(ring, n, n, [ring.random_element(rng) for _ in range(n * n)])
     if g == 4:
-        return jou_matrix(n, ring)
-    if g == 5:
-        try:
-            nonzeros = int(case.param("nonzeros", 2 * n))
-        except ValueError:
-            raise InvalidGroupParams("group-5 nonzeros must be an integer, got %r"
-                                     % (case.param("nonzeros"),))
-        entries = [0] * (n * n)
-        placed = 0
-        while placed < min(nonzeros, n * n):
-            pos = rng.below(n * n)
-            if entries[pos] == 0:
-                val = 0
-                while val == 0:
-                    val = rng.int_between(-99, 99)
-                entries[pos] = val
-                placed += 1
-        return DenseMatrix(ring, n, n, entries)
-    raise InvalidGroupParams("group must be 1..5, got %r" % (g,))
+        return jou_matrix(n)
+    # group 5: group_ring has refused every other group
+    try:
+        nonzeros = int(case.param("nonzeros", 2 * n))
+    except ValueError:
+        raise InvalidGroupParams("group-5 nonzeros must be an integer, got %r"
+                                 % (case.param("nonzeros"),))
+    entries = [0] * (n * n)
+    placed = 0
+    while placed < min(nonzeros, n * n):
+        pos = rng.below(n * n)
+        if entries[pos] == 0:
+            val = 0
+            while val == 0:
+                val = rng.int_between(-99, 99)
+            entries[pos] = val
+            placed += 1
+    return DenseMatrix(ring, n, n, entries)
 
 
-def jou_matrix(n, ring=None):
-    """[Jou]_ij = x + x^2 (x - ij)^2 + (x^2 + j)(x + i)^2; rank <= 3."""
-    if ring is None:
-        ring = PolynomialRing(ZZ, "x")
+def jou_matrix(n):
+    """[Jou]_ij = x + x^2 (x - ij)^2 + (x^2 + j)(x + i)^2 over Z[x]; rank <= 3."""
     entries = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            coeffs = (i * i * j,
-                      2 * i * j + 1,
-                      i * i * j * j + i * i + j,
-                      2 * i - 2 * i * j,
-                      2)
-            entries.append(tuple(ring.base.from_int(c) for c in coeffs))
-    return DenseMatrix(ring, n, n, entries)
+            entries.append((i * i * j,
+                            2 * i * j + 1,
+                            i * i * j * j + i * i + j,
+                            2 * i - 2 * i * j,
+                            2))
+    return DenseMatrix(PolynomialRing(ZZ, "x"), n, n, entries)
 
 
 @dataclass
@@ -145,24 +138,21 @@ class ValidationReport:
 
 def cross_validate(a, algos=None):
     """Run every applicable algorithm; disagreement is reported, not raised."""
-    ring = a.ring
-    n = a.rows
     report = ValidationReport()
     reference = None
     for algo_id in (algos or registry.ids()):
         algo = registry.get(algo_id)
-        lift, reason = algo.plan(ring, n)
-        if reason is not None:
-            report.entries.append(ValidationEntry(algo_id, reason))
-            continue
         try:
-            cp = algo.run(a if lift is None else a.with_ring(*lift))
+            cp = algo.run(algo.prepare(a))
+        except NotApplicable as e:
+            report.entries.append(ValidationEntry(algo_id, str(e)))
+            continue
         except Unsupported as e:
             # declared applicable but outside this build's support
             # (e.g. the Frobenius block fallback over a multivariate ring)
             report.entries.append(ValidationEntry(algo_id, "unsupported: %s" % e))
             continue
-        digest = cp.digest() if lift is None else _digest_in_base(cp, ring)
+        digest = cp.digest()
         report.entries.append(ValidationEntry(algo_id, "ok", digest, cp))
         if reference is None:
             reference = (algo_id, digest)
@@ -172,35 +162,21 @@ def cross_validate(a, algos=None):
     return report
 
 
-def _digest_in_base(cp, base_ring):
-    """Digest of a lifted (rational) result, retracted to the base ring."""
-    from .charpoly import CharPoly
-    back = []
-    for c in cp.coeffs:
-        if c.denominator != 1:
-            return "non-integral:" + cp.digest()
-        back.append(c.numerator)
-    return CharPoly(base_ring, back).digest()
-
-
 def run_case(case):
-    """Instrumented single run; returns a BenchRecord."""
-    entry_ring = group_ring(case)
-    counted = CountingRing(ZZ if case.group in (1, 4, 5) else entry_ring, track_bits=True)
-    a = generate_matrix(case, PolynomialRing(counted, "x") if case.group == 4 else counted)
+    """Instrumented single run; returns a BenchRecord.  One CountingRing
+    counts the ring the algorithm runs over, or Z under the Jou family's
+    Z[x]."""
     algo = registry.get(case.algo)
-    lift, reason = algo.plan(entry_ring, case.n)
-    if reason is not None:
-        raise InvalidGroupParams("%s not applicable: %s" % (case.algo, reason))
-    if lift is not None:
-        field, embed = lift
-        counted = CountingRing(field, track_bits=True)
-        a = a.with_ring(counted, embed)
+    m = generate_matrix(case)
+    a = algo.prepare(m)
+    counted = CountingRing(ZZ if case.group == 4 else a.ring, track_bits=True)
+    a = a.with_ring(PolynomialRing(counted, "x") if case.group == 4 else counted,
+                    lambda x: x)
     t0 = time.perf_counter()
     cp = algo.run(a)
     ms = (time.perf_counter() - t0) * 1000.0
-    digest = cp.digest() if lift is None else _digest_in_base(cp, entry_ring)
-    return BenchRecord(case, entry_ring.name, ms, counted.stats, counted.max_bits, digest)
+    return BenchRecord(case, m.ring.name, ms, counted.stats, counted.max_bits,
+                       cp.digest())
 
 
 CSV_COLUMNS = "group,n,seed,algo,ring,ms,adds,subs,muls,divs,exact_divs,max_bits,digest"
@@ -245,14 +221,11 @@ def run_benchmark(cfg):
             for seed in seeds:
                 digests = {}
                 for algo in algos:
-                    case = BenchCase(g, n, seed, algo, params)
-                    if registry.get(algo).plan(group_ring(case), n)[1] is not None:
-                        continue
                     try:
-                        rec = run_case(case)
-                    except Unsupported:
-                        # applicable, but not over the counted ring (e.g. the
-                        # Frobenius block path needs a gcd): left out, as
+                        rec = run_case(BenchCase(g, n, seed, algo, params))
+                    except (NotApplicable, Unsupported):
+                        # Unsupported: applicable, but not over the counted
+                        # ring (e.g. the Frobenius block path needs a gcd);
                         # cross_validate reports it unsupported
                         continue
                     records.append(rec)

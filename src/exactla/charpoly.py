@@ -48,17 +48,7 @@ class CharPoly:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def format(self, var="X"):
-        helper = []
-        for k, c in enumerate(self.coeffs):
-            d = self.n - k
-            if self.ring.is_zero(c):
-                continue
-            cs = self.ring.format(c)
-            helper.append(cs if d == 0 else "%s*%s^%d" % (cs, var, d))
-        out = helper[0] if helper else "0"
-        for t in helper[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return PolynomialRing(self.ring, var).format(self.coeffs[::-1])
 
     def __repr__(self):
         return "CharPoly(%s)" % self.format()

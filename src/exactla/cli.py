@@ -25,12 +25,7 @@ def cmd_charpoly(args):
         print("error: charpoly needs a square matrix", file=sys.stderr)
         return 1
     algo = registry.get(args.algo)
-    lift, reason = algo.plan(m.ring, m.rows)
-    if reason is not None:
-        print("error: %s" % reason, file=sys.stderr)
-        return 1
-    cp = algo.run(m if lift is None else m.with_ring(*lift))
-    print(cp.format())
+    print(algo.run(algo.prepare(m)).format())
     return 0
 
 

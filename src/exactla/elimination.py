@@ -288,10 +288,6 @@ class HankelMinorTable:
     def row(self, r):
         return self.rows[r]
 
-    def entry(self, r, j):
-        off = 1 if r == 0 else r
-        return self.rows[r][j - off]
-
     def final_minor(self):
         if self.m != self.n:
             raise DimensionMismatch("final minor needs a square Hankel matrix")

@@ -101,6 +101,10 @@ class UnknownAlgorithm(ExactLAError):
     """No characteristic-polynomial algorithm has the requested id."""
 
 
+class NotApplicable(ExactLAError):
+    """The algorithm does not apply to the matrix's ring (and no lift does)."""
+
+
 class Unsupported(ExactLAError, NotImplementedError):
     """The ring lacks an operation this build needs (for example a gcd)."""
 

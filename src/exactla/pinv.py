@@ -19,7 +19,7 @@ def embed_in_kt(a, kt=None):
     """Lift a matrix over a field K into K(t)."""
     if kt is None:
         kt = rational_function_field(a.ring)
-    return a.with_ring(kt, lambda x: kt.from_base((x,)) if not a.ring.is_zero(x) else kt.zero), kt
+    return a.with_ring(kt, lambda x: kt.from_base(kt.base.from_base(x))), kt
 
 
 def star_operator(a):
@@ -152,14 +152,11 @@ def solve_uniform(a, v, r, mode="plain", tau=None):
         raise DimensionMismatch("rhs length %d for %d rows" % (len(v), a.rows))
     res = pinv_rank_r(a, r, mode, tau)
     ring = res.matrix.ring
+    aa, vv = a, list(v)
     if ring is not a.ring:
         # generalized mode lifted the problem into K(t)
-        kt = ring
-        vv = [kt.from_base((x,)) if not a.ring.is_zero(x) else kt.zero for x in v]
-        aa, _ = embed_in_kt(a, kt)
-    else:
-        vv = list(v)
-        aa = a
+        aa, _ = embed_in_kt(a, ring)
+        vv = [ring.from_base(ring.base.from_base(x)) for x in v]
     x = res.matrix.apply(vv)
     if any(not ring.eq(w, want) for w, want in zip(aa.apply(x), vv)):
         raise Inconsistent("V is outside the column space at rank %d" % r)

@@ -1,11 +1,12 @@
-"""Characteristic-polynomial algorithm registry with ring applicability
-and the lift that runs a field algorithm on integer input."""
+"""Characteristic-polynomial algorithm registry: where each algorithm
+applies, and the one place that lifts integer input for the algorithm
+that needs a field."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import charpoly as cp
-from .errors import UnknownAlgorithm
+from .errors import NotApplicable, UnknownAlgorithm
 from .rings import QQ, ZZ
 
 
@@ -14,16 +15,18 @@ class Algo:
     id: str
     run: object                  # DenseMatrix -> CharPoly
     applicable: object           # (ring, n) -> reason-or-None
-    label: str
-    lift: object = None          # ring -> (field, embed) to run over instead, or None
+    lifts: bool = False          # runs Z input over Q, where its results are integral
 
-    def plan(self, ring, n):
-        """(lift, reason) for n x n input over ring: lift is None to run on
-        the input itself, else the (field, embed) to run its image over;
-        reason is why the algorithm does not apply, else None."""
-        reason = self.applicable(ring, n)
-        lift = self.lift(ring) if reason is not None and self.lift else None
-        return (lift, None) if lift else (None, reason)
+    def prepare(self, a):
+        """The matrix to run on: a where the algorithm applies, a over Q for
+        Z input to a lifting algorithm (Q formats an integral result as Z
+        does, digest included), else NotApplicable with the reason."""
+        reason = self.applicable(a.ring, a.rows)
+        if reason is None:
+            return a
+        if self.lifts and a.ring is ZZ:
+            return a.with_ring(QQ, Fraction)
+        raise NotApplicable(reason)
 
 
 def _any(ring, n):
@@ -47,33 +50,23 @@ def _needs_domain(ring, n):
     return "%s is not a field or exact-division domain" % ring.name
 
 
-def _z_to_q(ring):
-    """Z runs over Q; the results are integral and retract to Z."""
-    return (QQ, Fraction) if ring is ZZ else None
-
-
 def _first(m):
     return cp.charpoly_faddeev(m, compute_inverse=False)[0]
 
 
 ALGORITHMS = [
-    Algo("berkowitz", cp.charpoly_berkowitz, _any, "Berkowitz"),
-    Algo("berkowitz_sparse", lambda m: cp.charpoly_berkowitz(m, sparse_aware=True),
-         _any, "Berkowitz (sparse-aware)"),
-    Algo("chistov", cp.charpoly_chistov, _any, "Chistov"),
-    Algo("chistov_sparse", lambda m: cp.charpoly_chistov(m, sparse_aware=True),
-         _any, "Chistov (sparse-aware)"),
-    Algo("faddeev", _first, _needs_int_div, "Souriau-Faddeev-Frame"),
-    Algo("leverrier", cp.charpoly_leverrier, _needs_int_div, "Le Verrier"),
-    Algo("preparata_sarwate", cp.charpoly_preparata_sarwate, _needs_int_div,
-         "Preparata-Sarwate"),
-    Algo("hessenberg", cp.charpoly_hessenberg, _needs_field, "Hessenberg", _z_to_q),
-    Algo("bareiss_modified", cp.charpoly_bareiss_modified, _any,
-         "modified Jordan-Bareiss"),
-    Algo("interpolation", cp.charpoly_interpolation, _needs_int_div,
-         "Lagrange interpolation"),
-    Algo("frobenius", cp.charpoly_frobenius, _needs_domain, "Frobenius"),
-    Algo("kaltofen", cp.charpoly_kaltofen, _any, "Kaltofen-Wiedemann"),
+    Algo("berkowitz", cp.charpoly_berkowitz, _any),
+    Algo("berkowitz_sparse", lambda m: cp.charpoly_berkowitz(m, sparse_aware=True), _any),
+    Algo("chistov", cp.charpoly_chistov, _any),
+    Algo("chistov_sparse", lambda m: cp.charpoly_chistov(m, sparse_aware=True), _any),
+    Algo("faddeev", _first, _needs_int_div),
+    Algo("leverrier", cp.charpoly_leverrier, _needs_int_div),
+    Algo("preparata_sarwate", cp.charpoly_preparata_sarwate, _needs_int_div),
+    Algo("hessenberg", cp.charpoly_hessenberg, _needs_field, lifts=True),
+    Algo("bareiss_modified", cp.charpoly_bareiss_modified, _any),
+    Algo("interpolation", cp.charpoly_interpolation, _needs_int_div),
+    Algo("frobenius", cp.charpoly_frobenius, _needs_domain),
+    Algo("kaltofen", cp.charpoly_kaltofen, _any),
 ]
 
 _BY_ID = {a.id: a for a in ALGORITHMS}

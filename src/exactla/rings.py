@@ -491,6 +491,11 @@ def _prime_factors(n):
 
 _TERM_RE = re.compile(r"([+-]?\d+)((?:\*[a-zA-Z]\w*\^\d+)*)$")
 
+# largest exponent of one variable in a term of a polynomial literal
+# (summed over the term's factors): literals are stored dense, so a
+# larger one is refused before anything is sized by it
+MAX_LITERAL_EXPONENT = 1 << 16
+
 
 class PolynomialRing(Ring):
     def __init__(self, base, var="x"):
@@ -574,8 +579,7 @@ class PolynomialRing(Ring):
         return max((self.base.bit_size(c) for c in a), default=0)
 
     def format(self, a):
-        if not a:
-            return "0"
+        """Nonzero terms, highest degree first; a need not be stripped."""
         parts = []
         for k in range(len(a) - 1, -1, -1):
             c = a[k]
@@ -583,7 +587,7 @@ class PolynomialRing(Ring):
                 continue
             cs = self.base.format(c)
             parts.append(cs if k == 0 else "%s*%s^%d" % (cs, self.var, k))
-        return _join_terms(parts)
+        return _join_terms(parts) if parts else "0"
 
     def parse(self, s):
         base = self.base
@@ -625,10 +629,19 @@ def _parse_terms(s, varnames):
             var, _, exp = piece.partition("^")
             if var not in varnames:
                 raise ParseError("unknown variable %r" % var)
-            e[varnames.index(var)] += int(exp)
+            e[varnames.index(var)] += _literal_int(exp)
+        if max(e, default=0) > MAX_LITERAL_EXPONENT:
+            raise ParseError("exponent above %d in term %.40r" % (MAX_LITERAL_EXPONENT, t))
         e = tuple(e)
-        out[e] = out.get(e, 0) + int(m.group(1))
+        out[e] = out.get(e, 0) + _literal_int(m.group(1))
     return out
+
+
+def _literal_int(digits):
+    try:
+        return int(digits)
+    except ValueError:      # longer than the interpreter converts
+        raise ParseError("integer of %d digits in a polynomial literal" % len(digits))
 
 
 def _join_terms(parts):
@@ -806,17 +819,10 @@ class QuotientRing(PolynomialRing):
                             len(self.vars))
 
 
-def quotient_reduce(ring_or_p, polynomial, ideal=None, varnames=None):
-    """Canonical representative of a polynomial modulo a triangular ideal.
-
-    Either pass a QuotientRing, or (p, polynomial, ideal, varnames) with
-    the polynomial and the generators MultiPolynomialRing(p, varnames)
-    elements.
-    """
-    if isinstance(ring_or_p, QuotientRing):
-        return ring_or_p.reduce(polynomial)
-    qr = QuotientRing(ring_or_p, varnames, ideal)
-    return qr.reduce(polynomial)
+def quotient_reduce(ring, polynomial):
+    """Canonical representative of a MultiPolynomialRing(p, vars) element
+    modulo the triangular ideal of the QuotientRing ring."""
+    return ring.reduce(polynomial)
 
 
 # ---------------------------------------------------------------------------
@@ -993,8 +999,7 @@ class SeriesRing(Ring):
         return max((self.base.bit_size(c) for c in a), default=0)
 
     def format(self, a):
-        helper = PolynomialRing(self.base, self.var)
-        return helper.format(tuple(poly.strip(self.base, list(a))))
+        return PolynomialRing(self.base, self.var).format(a)
 
     def random_element(self, rng, bound=9):
         return tuple(self.base.random_element(rng, bound) for _ in range(self.order + 1))

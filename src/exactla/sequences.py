@@ -77,7 +77,10 @@ def wiedemann_minpoly(a, seed, retries=4, degree_target=None):
     The result always annihilates the sampled sequence (verified before
     returning) and equals the minimal polynomial of `a` with the usual
     1 - 1/(q^(k-1) - 1) style probability when min = char poly.  Raises
-    RetriesExhausted only if a caller-supplied degree target is unmet.
+    RetriesExhausted when no try finds a generator (of degree at least
+    degree_target, if given).  An all-zero sampled sequence has none, so
+    it can raise without a target too: on the 1x1 zero matrix over Z/2,
+    each try samples zero with probability 3/4.
     """
     ring = a.ring
     n = a.rows
@@ -99,5 +102,6 @@ def wiedemann_minpoly(a, seed, retries=4, degree_target=None):
             continue
         if degree_target is None or len(gen) - 1 >= degree_target:
             return gen
-    raise RetriesExhausted("no generator of degree >= %s found in %d tries"
-                           % (degree_target, retries))
+    target = "" if degree_target is None else " of degree >= %d" % degree_target
+    raise RetriesExhausted("no generator%s found in %d tries (an all-zero sampled "
+                           "sequence has none)" % (target, retries))

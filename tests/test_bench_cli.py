@@ -1,16 +1,18 @@
 """Benchmark generators, cross-validation, config runs, and the CLI."""
 
 import os
+from fractions import Fraction
 
 import pytest
 
 from exactla import bench
 from exactla import charpoly as cp
+from exactla import registry
 from exactla.cli import main
-from exactla.errors import ConfigError, InvalidGroupParams
+from exactla.errors import ConfigError, InvalidGroupParams, NotApplicable
 from exactla.matrix import DenseMatrix, format_matrix
 from exactla.multipoly import to_dict
-from exactla.rings import ZZ
+from exactla.rings import QQ, ZZ
 
 
 def test_generator_determinism_and_ranges():
@@ -196,3 +198,32 @@ def test_cli_charpoly_hessenberg_lifts_z_to_q(tmp_path, capsys):
     assert main(["charpoly", "--algo", "hessenberg", "--in", str(path)]) == 0
     captured = capsys.readouterr()
     assert captured.out == want and captured.err == ""
+
+
+def test_prepare_returns_the_matrix_to_run_on(tmp_path, capsys):
+    z = bench.generate_matrix(bench.BenchCase(1, 5, 2))
+    assert registry.get("berkowitz").prepare(z) is z
+    hess = registry.get("hessenberg")
+    q = hess.prepare(z)
+    assert q.ring is QQ and q.entries == [Fraction(x) for x in z.entries]
+    q5 = z.with_ring(QQ, Fraction)
+    assert hess.prepare(q5) is q5
+    jou = bench.generate_matrix(bench.BenchCase(4, 3, 1))
+    with pytest.raises(NotApplicable) as exc:
+        hess.prepare(jou)
+    assert str(exc.value) == "Z[x] is not a field"
+    path = tmp_path / "jou.txt"
+    path.write_text(format_matrix(jou))
+    assert main(["charpoly", "--algo", "hessenberg", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: Z[x] is not a field\n"
+
+
+def test_z_charpoly_and_its_q_image_have_one_digest():
+    # why a lifted (Q) result needs no retraction to compare with Z results
+    for seed in range(1, 4):
+        z = cp.charpoly_berkowitz(bench.generate_matrix(bench.BenchCase(1, 6, seed)))
+        q = cp.CharPoly(QQ, [Fraction(c) for c in z.coeffs])
+        assert q.digest() == z.digest() and q.format() == z.format()
+        half = cp.CharPoly(QQ, q.coeffs[:-1] + (q.coeffs[-1] + Fraction(1, 2),))
+        assert half.digest() != z.digest()

@@ -2,10 +2,6 @@
 and the exactla command.  A parser returns a value or raises an
 ExactLAError; the command exits 0, 1 or 2 with at most one `error:` line
 on stderr and never a traceback.
-
-Free text leaves out '^': an exponent literal sizes a dense coefficient
-list, so a long run of digits after it would ask for that much memory.
-Exponents come only from the fixed fragments below.
 """
 
 import contextlib
@@ -13,15 +9,16 @@ import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactla import registry
 from exactla.bench import parse_config
 from exactla.cli import main
-from exactla.errors import ExactLAError
+from exactla.errors import ExactLAError, ParseError
 from exactla.matrix import parse_matrix
-from exactla.rings import ring_from_string
+from exactla.rings import MAX_LITERAL_EXPONENT, ring_from_string
 
 RING_SPECS = ("Z", "Q", "zp:7", "zp:12", "zp:1", "zp:0", "zp:x", "zp:", "W", "",
               "Z[x]", "Q[x]", "zp:7[x]", "zp:1[x]", "Z[x,y]", "Q[x,y]", "zp:4[x,y]",
@@ -29,7 +26,7 @@ RING_SPECS = ("Z", "Q", "zp:7", "zp:12", "zp:1", "zp:0", "zp:x", "zp:", "W", "",
               "zp:7[x]/1*y^2", "zp:7[x,y]/1*x^2+1", "zp:7[x]/3", "zp:7[x,y]/1*y^2;1*x^2")
 LITERALS = ("0", "1", "-3", "12", "1/2", "-2/3", "2/0", "x", "1*x^2+-1", "3*x^1*y^2",
             "1*y^1+2", "(1*x^1+1)/(2)", "1*x^1/1*x^1", "1*z^1", "abc", "--1", "1e3", "+")
-FREE_TEXT = st.text(alphabet=" \n\t=#,;:/*+-()[]0123456789ZQzpxyabc", max_size=40)
+FREE_TEXT = st.text(alphabet=" \n\t=#,;:/*^+-()[]0123456789ZQzpxyabc", max_size=40)
 
 ring_specs = st.one_of(st.sampled_from(RING_SPECS), FREE_TEXT)
 
@@ -130,3 +127,23 @@ def test_cli_bench_exits_cleanly(text):
                               "--out-csv", os.path.join(tmp, "o.csv"),
                               "--out-md", os.path.join(tmp, "o.md")])
     _assert_clean_exit(code, err)
+
+
+@pytest.mark.parametrize("text", ["1 1 Z[x]\n1*x^10000000\n",
+                                  "1 1 Z[x]\n%s\n" % ("7" * 5000),
+                                  "1 1 Z[x,y]\n1*x^60000*y^1*x^6000\n",
+                                  "1 1 zp:7[x]/1*x^999999999\n1\n"])
+def test_polynomial_literals_past_the_limits_are_parse_errors(text, tmp_path):
+    with pytest.raises(ParseError):
+        parse_matrix(text)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    code, err = _run_cli(["det", "--in", str(path)])
+    assert code == 1 and err.count("error:") == 1 and len(err.splitlines()) == 1, err
+
+
+def test_literal_exponent_limit_is_inclusive():
+    zx = ring_from_string("Z[x]")
+    assert len(zx.parse("1*x^%d" % MAX_LITERAL_EXPONENT)) == MAX_LITERAL_EXPONENT + 1
+    with pytest.raises(ParseError):
+        zx.parse("1*x^%d" % (MAX_LITERAL_EXPONENT + 1))

@@ -133,8 +133,14 @@ def test_wiedemann_divides_minimal_polynomial(rng):
 
 def test_wiedemann_retries_exhausted():
     z = DenseMatrix.zeros(F101, 3, 3)
-    with pytest.raises(RetriesExhausted):
+    with pytest.raises(RetriesExhausted, match="no generator of degree >= 3 found in 2 tries"):
         sq.wiedemann_minpoly(z, seed=1, retries=2, degree_target=3)
+    # without a target too: on the 1x1 zero matrix over Z/2 every try of
+    # this seed samples u.v = 0, and the zero sequence has no generator
+    with pytest.raises(RetriesExhausted) as exc:
+        sq.wiedemann_minpoly(DenseMatrix.zeros(IntegersMod(2), 1, 1), seed=5)
+    assert str(exc.value) == ("no generator found in 4 tries "
+                              "(an all-zero sampled sequence has none)")
 
 
 def test_wiedemann_deterministic_seeding():

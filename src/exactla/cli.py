@@ -34,14 +34,10 @@ def cmd_det(args):
     if m.rows != m.cols:
         print("error: det needs a square matrix", file=sys.stderr)
         return 1
-    ring = m.ring
-    if args.modular:
-        if ring.name != "Z":
-            print("error: --modular needs an integer matrix", file=sys.stderr)
-            return 1
-        print(det_modular(m))
-        return 0
-    print(ring.format(determinant(m)))
+    if args.modular and m.ring.name != "Z":
+        print("error: --modular needs an integer matrix", file=sys.stderr)
+        return 1
+    print(m.ring.format((det_modular if args.modular else determinant)(m)))
     return 0
 
 

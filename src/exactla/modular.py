@@ -4,7 +4,7 @@ polynomial / determinant pipeline over Z."""
 import math
 from dataclasses import dataclass
 
-from .charpoly import CharPoly
+from .charpoly import CharPoly, charpoly_hessenberg, determinant
 from .errors import (DimensionMismatch, NoCandidateWithinBound,
                      PrimePoolExhausted)
 from .matrix import DenseMatrix
@@ -115,50 +115,38 @@ def crt_reconstruct(system, bound):
 
 def select_primes(bound):
     """Enough pool primes for a product exceeding 2*bound."""
-    prod = 1
-    chosen = []
+    prod, chosen = 1, []
     for p in PRIME_POOL:
         if prod > 2 * bound:
-            return chosen
+            break
         chosen.append(p)
         prod *= p
-    if prod > 2 * bound:
-        return chosen
-    raise PrimePoolExhausted("prime pool cannot exceed 2*%d" % bound)
+    if prod <= 2 * bound:
+        raise PrimePoolExhausted("a bound of %d bits needs more than the prime pool's %d bits"
+                                 % (bound.bit_length(), prod.bit_length()))
+    return chosen
 
 
-def charpoly_modular(a, per_prime_algo="hessenberg"):
-    """Characteristic polynomial over Z through per-prime computations.
+def _images(a, primes):
+    """a modulo each prime, as a matrix over Z/p."""
+    for p in primes:
+        yield DenseMatrix(IntegersMod(p), a.rows, a.cols, [x % p for x in a.entries])
 
-    Coefficient bounds pick the primes; per_prime_algo names the F_p
-    algorithm (default Hessenberg, the cheapest field method).
-    """
-    n = a.rows
+
+def charpoly_modular(a):
+    """Characteristic polynomial over Z from its Hessenberg images mod
+    primes that the per-coefficient bounds pick."""
     bounds = charpoly_coeff_bound(a)
     primes = select_primes(max(bounds.per_coeff))
-    residues = [cp.coeffs for cp in _charpolys_mod(a, primes, per_prime_algo)]
-    coeffs = []
-    for k in range(n + 1):
-        sys_k = ResidueSystem(list(primes), [r[k] for r in residues])
-        coeffs.append(crt_reconstruct(sys_k, bounds.per_coeff[k]))
-    return CharPoly(ZZ, coeffs)
+    per_prime = [charpoly_hessenberg(img).coeffs for img in _images(a, primes)]
+    return CharPoly(ZZ, [crt_reconstruct(ResidueSystem(primes, list(residues)), bound)
+                         for residues, bound in zip(zip(*per_prime), bounds.per_coeff)])
 
 
 def det_modular(a):
-    """Determinant over Z via the Hadamard bound and CRT."""
+    """Determinant over Z from its images mod primes that the Hadamard
+    bound picks."""
     bound = hadamard_bound(a)
     primes = select_primes(bound)
-    vals = [cp.constant_term() for cp in _charpolys_mod(a, primes, "hessenberg")]
-    return crt_reconstruct(ResidueSystem(list(primes), vals), bound)
-
-
-def _charpolys_mod(a, primes, algo_id):
-    """The characteristic polynomial of a mod each prime, by algo_id."""
-    from . import registry
-    algo = registry.get(algo_id)
-    n = a.rows
-    out = []
-    for p in primes:
-        ring = IntegersMod(p)
-        out.append(algo.run(DenseMatrix(ring, n, n, [x % p for x in a.entries])))
-    return out
+    dets = [determinant(img) for img in _images(a, primes)]
+    return crt_reconstruct(ResidueSystem(primes, dets), bound)

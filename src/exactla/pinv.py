@@ -26,18 +26,23 @@ def star_operator(a):
     """A° with entries (A°)_{i,j} = t^(j-i) * a_{j,i} over K(t)."""
     kt = a.ring
     pr = kt.base
+
+    def t_pow(e):
+        mono = (pr.base.zero,) * abs(e) + (pr.base.one,)
+        return kt.from_base(mono) if e >= 0 else (pr.one, mono)   # 1/t^-e is canonical
+    return _twisted_transpose(a, t_pow)
+
+
+def _twisted_transpose(a, scale):
+    """The n x m matrix (scale(j-i) * a_{j,i}); 0-based j-i equals the
+    1-based exponent, and each diagonal's scale is computed once."""
+    ring = a.ring
     m, n = a.rows, a.cols
-    out = DenseMatrix.zeros(kt, n, m)
+    scales = {e: scale(e) for e in range(1 - n, m)}
+    out = DenseMatrix.zeros(ring, n, m)
     for i in range(n):
         for j in range(m):
-            x = a.at(j, i)
-            e = j - i      # 0-based (j+1)-(i+1) equals the 1-based exponent
-            if e >= 0:
-                tpow = (pr.base.zero,) * e + (pr.base.one,)
-                out.entries[i * m + j] = kt.mul(kt.from_base(tpow), x)
-            else:
-                tpow = (pr.base.zero,) * (-e) + (pr.base.one,)
-                out.entries[i * m + j] = kt.div(x, kt.from_base(tpow))
+            out.entries[i * m + j] = ring.mul(scales[j - i], a.at(j, i))
     return out
 
 
@@ -114,14 +119,8 @@ def pinv_rank_r(a, r, mode="plain", tau=None):
 def _star_at(a, tau):
     """The star operator with t specialized at a base-field value tau."""
     ring = a.ring
-    m, n = a.rows, a.cols
-    star = DenseMatrix.zeros(ring, n, m)
-    for i in range(n):
-        for j in range(m):
-            e = j - i
-            scale = ring.pow(tau, e) if e >= 0 else ring.inverse_of_unit(ring.pow(tau, -e))
-            star.entries[i * m + j] = ring.mul(scale, a.at(j, i))
-    return star
+    return _twisted_transpose(a, lambda e: ring.pow(tau, e) if e >= 0
+                              else ring.inverse_of_unit(ring.pow(tau, -e)))
 
 
 def _pinv_formula(a, star, r):

@@ -168,6 +168,20 @@ class Ring:
 # ---------------------------------------------------------------------------
 # integers and rationals
 
+def _decimal(k):
+    """str(k) for an int of any size: past Python's int-to-str digit limit,
+    the halves of a split by a power of ten."""
+    try:
+        return str(k)
+    except ValueError:
+        pass
+    if k < 0:
+        return "-" + _decimal(-k)
+    h = k.bit_length() * 3 // 20        # about half the digits: log10(2) ~ 0.3
+    hi, lo = divmod(k, 10 ** h)
+    return _decimal(hi) + _decimal(lo).zfill(h)
+
+
 class IntegerRing(Ring):
     name = "Z"
     zero = 0
@@ -217,7 +231,7 @@ class IntegerRing(Ring):
         return a.bit_length()
 
     def format(self, a):
-        return str(a)
+        return _decimal(a)
 
     def parse(self, s):
         try:
@@ -262,8 +276,8 @@ class RationalField(Ring):
 
     def format(self, a):
         if a.denominator == 1:
-            return str(a.numerator)
-        return "%d/%d" % (a.numerator, a.denominator)
+            return _decimal(a.numerator)
+        return "%s/%s" % (_decimal(a.numerator), _decimal(a.denominator))
 
     def parse(self, s):
         try:
@@ -720,7 +734,7 @@ class MultiPolynomialRing(PolynomialRing):
             return "0"
         parts = []
         for e in sorted(d, key=lambda e: (sum(e), e), reverse=True):
-            bits = [str(d[e])]
+            bits = [self.scalars.format(d[e])]
             for var, k in zip(self.vars, e):
                 if k:
                     bits.append("%s^%d" % (var, k))

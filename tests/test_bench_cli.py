@@ -1,6 +1,7 @@
 """Benchmark generators, cross-validation, config runs, and the CLI."""
 
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -227,3 +228,28 @@ def test_z_charpoly_and_its_q_image_have_one_digest():
         assert q.digest() == z.digest() and q.format() == z.format()
         half = cp.CharPoly(QQ, q.coeffs[:-1] + (q.coeffs[-1] + Fraction(1, 2),))
         assert half.digest() != z.digest()
+
+
+def test_cli_prints_integers_past_the_str_digit_limit(tmp_path, capsys):
+    # two 2500-digit diagonal entries: det and the constant coefficient have
+    # 5000 digits, past Python's default int-to-str limit of 4300
+    x, y = 10 ** 2499 + 7, 2 * 10 ** 2499 + 3
+    path = tmp_path / "big.txt"
+    path.write_text("2 2 Z\n%d 0\n0 %d\n" % (x, y))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want_det = "%d\n" % (x * y)
+        want_cp = "1*X^2-%d*X^1+%d\n" % (x + y, x * y)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["det", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == want_det
+    assert main(["charpoly", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == want_cp
+    # the Hadamard bound needs more primes than the pool holds
+    assert main(["det", "--in", str(path), "--modular"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a bound of 16604 bits needs more than "
+                            "the prime pool's 12200 bits\n")

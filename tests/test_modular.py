@@ -10,7 +10,7 @@ from exactla import modular as md
 from exactla.elimination import det_fraction_free
 from exactla.errors import NoCandidateWithinBound
 from exactla.matrix import DenseMatrix
-from exactla.rings import ZZ
+from exactla.rings import ZZ, IntegersMod
 
 
 def test_hadamard_examples():
@@ -90,9 +90,6 @@ def test_modular_matches_direct(rng):
         n = rng.int_between(1, 10)
         a = random_int_matrix(ZZ, rng, n, -99, 99)
         assert md.charpoly_modular(a).eq(cp.charpoly_berkowitz(a))
-    for algo in ("berkowitz", "hessenberg", "frobenius"):
-        a = random_int_matrix(ZZ, rng, 7, -99, 99)
-        assert md.charpoly_modular(a, per_prime_algo=algo).eq(cp.charpoly_berkowitz(a))
 
 
 def test_modular_det(rng):
@@ -100,3 +97,24 @@ def test_modular_det(rng):
         a = random_int_matrix(ZZ, rng, 12, -99, 99)
         assert md.det_modular(a) == det_fraction_free(a)
         assert md.charpoly_modular(a).constant_term() == det_fraction_free(a)
+
+
+def test_modular_with_a_singular_first_image(rng):
+    # the last row is the sum of the first two plus p times a random row,
+    # so det is a nonzero multiple of p = PRIME_POOL[0]: the first image is
+    # singular, and the bound asks for more primes than p alone
+    p = md.PRIME_POOL[0]
+    for _ in range(3):
+        a = random_int_matrix(ZZ, rng, 5, -99, 99)
+        for j in range(5):
+            a.entries[20 + j] = a.at(0, j) + a.at(1, j) + p * rng.int_between(-9, 9)
+        det = det_fraction_free(a)
+        assert det != 0 and det % p == 0
+        primes = md.select_primes(md.hadamard_bound(a))
+        assert primes[0] == p and len(primes) > 1
+        image = DenseMatrix(IntegersMod(p), 5, 5, [x % p for x in a.entries])
+        assert cp.determinant(image) == 0
+        assert md.det_modular(a) == det
+        berk = cp.charpoly_berkowitz(a)
+        assert berk.constant_term() == det
+        assert md.charpoly_modular(a).eq(berk)

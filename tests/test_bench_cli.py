@@ -253,3 +253,12 @@ def test_cli_prints_integers_past_the_str_digit_limit(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: a bound of 16604 bits needs more than "
                             "the prime pool's 12200 bits\n")
+
+
+def test_cli_det_of_sparse_high_degree_polynomial_entries(tmp_path, capsys):
+    # binomials of degree 4096: Z[x] products take the plain loop over the
+    # two nonzero terms instead of recursing Karatsuba down to single terms
+    path = tmp_path / "sparse.txt"
+    path.write_text("2 2 Z[x]\n1*x^4096+1 1*x^4096+-1\n1*x^4095+1 1*x^4096+2\n")
+    assert main(["det", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "1*x^8192-1*x^8191+2*x^4096+1*x^4095+3\n"

@@ -80,6 +80,46 @@ def test_integer_dot_addmul_submul_match_literal(xs, ys, c):
     assert ZZ.submul(ys, c, xs) == Ring.submul(ZZ, ys, c, xs)
 
 
+@st.composite
+def integer_lists(draw, max_size=40):
+    """Dense or mostly-zero signed coefficient lists, sometimes with
+    trailing zeros; coefficient sizes on both sides of the Kronecker
+    bit cutoff."""
+    bits = draw(st.sampled_from((1, 8, 64, 700, 1000)))
+    value = st.integers(-2 ** bits, 2 ** bits)
+    if draw(st.booleans()):
+        value = st.one_of(st.just(0), st.just(0), st.just(0), value)
+    xs = draw(st.lists(value, max_size=max_size))
+    return xs + [0] * draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_lists(), integer_lists(), st.one_of(st.none(), st.integers(0, 50)),
+       st.booleans())
+def test_integer_product_matches_literal(a, b, order, square):
+    if square:
+        b = a
+    want = Ring.product(ZZ, a, b, order)
+    assert ZZ.product(a, b, order) == want
+    assert ZZ.product(tuple(a), tuple(b), order) == want
+
+
+@pytest.mark.parametrize("bits", [1, 64, 700, 1000])
+def test_integer_product_edge_shapes(bits):
+    # the plain loop, the signed Kronecker product and the Ring default
+    # (past Z_KRONECKER_MAX_BITS) on every pairing of shapes
+    big = 2 ** bits - 1
+    dense = [(-1) ** k * (big - 3 * k) for k in range(30)]
+    sparse = [0] * 29 + [-big]
+    shapes = [[], [0], [0, 0], [1], [-1], [-big, 0, 0], dense, dense[:9] + [0, 0],
+              dense[:16], dense[:17] + [0], [abs(c) for c in dense], [-abs(c) for c in dense],
+              sparse, [0, big] + [0] * 20, [big] + [0] * 15 + [big]]
+    for a in shapes:
+        for b in shapes:
+            for order in (None, 0, 1, 5, 15, 16, 29, 40, 70):
+                assert ZZ.product(a, b, order) == Ring.product(ZZ, a, b, order), (a, b, order)
+
+
 def test_zp_product_reduces_operands_outside_the_residue_range():
     # a matrix built from raw ints hands the hook entries outside [0, m),
     # which the Kronecker slots are not sized for
@@ -91,11 +131,12 @@ def test_zp_product_reduces_operands_outside_the_residue_range():
 
 
 def test_counting_ring_takes_the_literal_defaults():
-    counted = CountingRing(IntegersMod(10007))
-    for hook in ("dot", "addmul", "submul", "product"):
-        assert getattr(type(counted), hook) is getattr(Ring, hook)
-    assert counted.dot([1, 2, 3], [4, 5, 6]) == 32
-    assert (counted.stats.muls, counted.stats.adds) == (3, 2)
+    for inner in (IntegersMod(10007), ZZ):
+        counted = CountingRing(inner)
+        for hook in ("dot", "addmul", "submul", "product"):
+            assert getattr(type(counted), hook) is getattr(Ring, hook)
+        assert counted.dot([1, 2, 3], [4, 5, 6]) == 32
+        assert (counted.stats.muls, counted.stats.adds) == (3, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Ring protocol: axioms, divisions, quotient reduction, counting."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactla import rings
 from exactla.errors import (IntegerNotInvertible, NonTriangularIdeal,
                             NotDivisible, Unsupported, ZeroDivisor)
 from exactla.matrix import DenseMatrix
 from exactla.multipoly import to_dict
 from exactla.elimination import gauss_lu
+from exactla.poly import strip
 from exactla.rings import (QQ, ZZ, CountingRing, FractionField, IntegersMod,
                            MultiPolynomialRing, OpStats, PolynomialRing, QuotientRing, RingSpec,
                            ring_from_string, quotient_reduce, with_counting)
@@ -253,6 +257,96 @@ def test_fraction_field_normalization():
     v = fx.make(num, den)
     # denominator monic, gcd cleared
     assert v[1][-1] == Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# polynomial gcd over Z and Q: the heuristic gcd against Euclid
+
+QX = PolynomialRing(QQ, "x")
+QX_EUCLID = PolynomialRing(CountingRing(QQ), "x")      # the literal field Euclid
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(k*f*g1, f*g2) over Z, in either order: zero, constants, negative
+    leading coefficients and shared content all occur."""
+    bits = draw(st.sampled_from((1, 4, 30, 200)))
+    coeff = st.integers(-2 ** bits, 2 ** bits)
+    f, g1, g2 = (tuple(strip(ZZ, draw(st.lists(coeff, max_size=5)))) for _ in range(3))
+    k = draw(coeff)
+    a = tuple(strip(ZZ, [k * c for c in ZX.mul(f, g1)]))
+    b = ZX.mul(f, g2)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gcd_pairs(), st.lists(st.integers(1, 2 ** 64), min_size=2, max_size=2))
+def test_polynomial_gcd_matches_euclid(pair, dens):
+    a, b = pair
+    assert ZX.gcd(a, b) == tuple(rings._gcd_int_poly_euclid(list(a), list(b)))
+    qa = tuple(Fraction(c, dens[0]) for c in a)
+    qb = tuple(Fraction(c, dens[1]) for c in b)
+    assert QX.gcd(qa, qb) == QX_EUCLID.gcd(qa, qb)
+
+
+def test_polynomial_gcd_examples_and_fallback(monkeypatch):
+    x2m1, xm1 = ZX.parse("1*x^2+-1"), ZX.parse("1*x^1+-1")
+    cases = [((), (), ()), ((), (4, -2), (-4, 2)), ((6,), (), (6,)), ((6,), (4, 2), (2,)),
+             (ZX.mul((6,), x2m1), ZX.mul((-4,), xm1), (-2, 2)),
+             (ZX.mul(x2m1, x2m1), ZX.parse("-1*x^3+1"), (-1, 1)),
+             # a candidate from a point below 2*min(norms)+2 can divide both
+             # and still not be the gcd: x-2 is 1 at x = 3
+             ((-2, 1), (2, -1), (-2, 1)), ((2, -1), (0, -2, 1), (-2, 1)),
+             # coprime pairs whose first candidate divides only the first
+             ((4, -1), (2, -1, -4), (1,)), ((3, -2), (3, 2, 4, 3), (1,))]
+    for a, b, want in cases:
+        assert tuple(rings._gcd_int_poly_euclid(list(a), list(b))) == want
+        assert ZX.gcd(a, b) == want
+    # with no evaluation point to try, the gcd is Euclid's
+    monkeypatch.setattr(rings, "HEU_GCD_POINTS", 0)
+    for a, b, want in cases:
+        assert ZX.gcd(a, b) == want
+
+
+def test_polynomial_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = Rng(23)
+
+    def draw(bound):
+        return tuple(strip(ZZ, [rng.int_between(-bound, bound) for _ in range(rng.below(5))]))
+
+    def to_sympy(a, domain):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) if domain == "QQ" else c
+                           for c in reversed(a)] or [0], x, domain=domain)
+
+    for trial in range(80):
+        bound = (3, 2 ** 20, 2 ** 200)[trial % 3]
+        f = draw(bound)
+        a = ZX.mul(tuple(rng.int_between(-9, 9) * c for c in f), draw(bound))
+        b = ZX.mul(f, draw(bound))
+        want = [int(c) for c in reversed(to_sympy(a, "ZZ").gcd(to_sympy(b, "ZZ")).all_coeffs())]
+        want = strip(ZZ, want)
+        if want and want[-1] < 0:
+            want = [-c for c in want]
+        assert ZX.gcd(a, b) == tuple(want), (a, b)
+        qa = tuple(Fraction(c, 1 + rng.below(30)) for c in a)
+        qb = tuple(Fraction(c, 1 + rng.below(30)) for c in b)
+        got = QX.gcd(qa, qb)
+        want = to_sympy(qa, "QQ").gcd(to_sympy(qb, "QQ"))
+        assert got == tuple(strip(QQ, [Fraction(int(c.p), int(c.q))
+                                       for c in reversed(want.all_coeffs())])), (qa, qb)
+
+
+def test_counted_rational_polynomial_gcd_keeps_its_op_count():
+    # a counted base takes the literal Euclid, whose ops are pinned
+    counted = CountingRing(QQ)
+    ring = PolynomialRing(counted, "x")
+    a = tuple(Fraction(k, 3) for k in (6, -5, -3, 2))     # (x-1)(2x+3)(x-2)/3
+    b = tuple(Fraction(k, 2) for k in (-3, 1, 2))         # (x-1)(2x+3)/2
+    assert ring.gcd(a, b) == (Fraction(-3, 2), Fraction(1, 2), Fraction(1))
+    assert counted.stats == OpStats(adds=0, subs=6, muls=9, divs=3, exact_divs=0)
+    assert QX.gcd(a, b) == ring.gcd(a, b)
 
 
 def test_ring_literal_and_spec_strings():

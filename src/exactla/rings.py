@@ -214,11 +214,29 @@ class IntegerRing(Ring):
 
     def product(self, a, b, order=None):
         """Plain-int loop over the shorter operand (trailing zeros stripped)
-        when it has under Z_KRONECKER_MIN_TERMS nonzero coefficients; else
-        a signed Kronecker product while the largest coefficients of the
-        two operands have at most Z_KRONECKER_MAX_BITS bits between them;
-        else the Ring default's auto_mul."""
-        return _int_product(a, b, order, Z_KRONECKER_MIN_TERMS, 0, _z_dense)
+        when it has under Z_KRONECKER_MIN_TERMS nonzero coefficients, else
+        one signed Kronecker product."""
+        la, lb = len(a), len(b)
+        while la and not a[la - 1]:
+            la -= 1
+        while lb and not b[lb - 1]:
+            lb -= 1
+        if not la or not lb:
+            return [] if order is None else [0] * (order + 1)
+        size = la + lb - 1
+        if order is not None and size > order:
+            size = order + 1
+            la, lb = min(la, size), min(lb, size)
+        if lb < la:
+            a, la, b, lb = b, lb, a, la
+        if la < Z_KRONECKER_MIN_TERMS or a[:la].count(0) > la - Z_KRONECKER_MIN_TERMS:
+            out = _int_loop(a, la, b, lb, size)
+        else:
+            out = _signed_kronecker(a, la, b, lb, size)
+        # the leading coefficient of a full product is nonzero over Z
+        if order is not None and size <= order:
+            out += [0] * (order + 1 - size)
+        return out
 
     def exact_div(self, a, b):
         if b == 0:
@@ -384,7 +402,30 @@ class IntegersMod(Ring):
         when it has under KRONECKER_MIN_TERMS nonzero coefficients, else
         one bigint product by Kronecker substitution; one reduction per
         coefficient either way."""
-        return _int_product(a, b, order, KRONECKER_MIN_TERMS, self.m, self._kronecker)
+        m = self.m
+        la, lb = len(a), len(b)
+        while la and not a[la - 1]:
+            la -= 1
+        while lb and not b[lb - 1]:
+            lb -= 1
+        if not la or not lb:
+            return [] if order is None else [0] * (order + 1)
+        size = la + lb - 1
+        if order is not None and size > order:
+            size = order + 1
+            la, lb = min(la, size), min(lb, size)
+        if lb < la:
+            a, la, b, lb = b, lb, a, la
+        if la < KRONECKER_MIN_TERMS or a[:la].count(0) > la - KRONECKER_MIN_TERMS:
+            out = [c % m for c in _int_loop(a, la, b, lb, size)]
+        else:
+            out = self._kronecker(a, la, b, lb, size)
+        if order is None:
+            while out and not out[-1]:
+                out.pop()
+        elif size <= order:
+            out += [0] * (order + 1 - size)
+        return out
 
     def _kronecker(self, a, la, b, lb, size):
         """First `size` coefficients of a[:la]*b[:lb] mod m: each operand
@@ -462,75 +503,39 @@ class IntegersMod(Ring):
 KRONECKER_MIN_TERMS = 10
 
 # The same cutoff for IntegerRing.product, whose signed packing costs
-# more, and the largest bit length of max|a| plus that of max|b| for
-# which it packs rather than taking the Ring default (Karatsuba from
-# length 17).  Measured on dense signed operands of equal length L
-# (CPython 3.11, 2-CPU Xeon, best of 5): against the loop, Kronecker
-# loses by 1.1-1.5x at L = 12-16 with 8-bit coefficients and wins from
-# L = 20, or from L = 14 with 64-bit ones; against the Ring default it
-# wins at 512-bit coefficients from L = 24 (1.3-2.0x), ties at 768 bits
-# (0.94-1.05x) and loses at 1024 bits from L = 32 (0.80-0.86x).
+# more.  Measured on dense signed operands of equal length L (CPython
+# 3.11, 2-CPU Xeon, best of 5): against the loop, Kronecker loses by
+# 1.1-1.5x at L = 12-16 with 8-bit coefficients and wins from L = 20, or
+# from L = 14 with 64-bit ones.
 Z_KRONECKER_MIN_TERMS = 16
-Z_KRONECKER_MAX_BITS = 1536
 
 
-def _int_product(a, b, order, least, m, dense):
-    """The product hook over int coefficients (reduced mod m unless m is
-    0): trailing zeros stripped, both operands cut to the coefficients the
-    result needs, the shorter one first.  A plain-int loop over the
-    nonzero coefficients of the shorter one when it has fewer than
-    `least`, else dense(a, la, b, lb, size), the first `size`
-    coefficients of a[:la]*b[:lb]."""
-    la, lb = len(a), len(b)
-    while la and not a[la - 1]:
-        la -= 1
-    while lb and not b[lb - 1]:
-        lb -= 1
-    if not la or not lb:
-        return [] if order is None else [0] * (order + 1)
-    size = la + lb - 1
-    if order is not None and size > order:
-        size = order + 1
-        la, lb = min(la, size), min(lb, size)
-    if lb < la:
-        a, la, b, lb = b, lb, a, la
-    if la < least or a[:la].count(0) > la - least:
-        out = [0] * size
-        b = b[:lb]
-        i = 0
-        for x in a[:la]:
-            if x:
-                k = i
-                for y in b[:size - i]:
-                    out[k] += x * y
-                    k += 1
-            i += 1
-        if m:
-            out = [c % m for c in out]
-    else:
-        out = dense(a, la, b, lb, size)
-    if order is None:
-        while out and not out[-1]:
-            out.pop()
-    elif size <= order:
-        out += [0] * (order + 1 - size)
+def _int_loop(a, la, b, lb, size):
+    """The first `size` coefficients of a[:la]*b[:lb] over Z, unreduced:
+    a plain-int loop over the nonzero coefficients of a."""
+    out = [0] * size
+    b = b[:lb]
+    i = 0
+    for x in a[:la]:
+        if x:
+            k = i
+            for y in b[:size - i]:
+                out[k] += x * y
+                k += 1
+        i += 1
     return out
 
 
-def _z_dense(a, la, b, lb, size):
-    """First `size` coefficients of a[:la]*b[:lb] over Z for operands past
-    the plain loop: the Ring default's auto_mul above Z_KRONECKER_MAX_BITS,
-    else a signed Kronecker product.  That packs each operand into one int,
-    a slot per coefficient with room for the sign of any product
-    coefficient, and adds half a slot to every coefficient of the product
-    so that the slots unpack as unsigned bytes."""
+def _signed_kronecker(a, la, b, lb, size):
+    """First `size` coefficients of a[:la]*b[:lb] over Z by a signed
+    Kronecker product: each operand packed into one int, a slot per
+    coefficient with room for the sign of any product coefficient, one
+    bigint product, and half a slot added to every coefficient of the
+    product so that the slots unpack as unsigned bytes."""
     square = b is a
     a, b = a[:la], b[:lb]
     bits = _max_abs(a).bit_length()
     bits += bits if square else _max_abs(b).bit_length()
-    if bits > Z_KRONECKER_MAX_BITS:
-        out = poly.auto_mul(ZZ, a, b)[:size]
-        return out + [0] * (size - len(out))
     width = (bits + la.bit_length() + 8) // 8
     pa = _signed_pack(a, width)
     prod = pa * pa if square else pa * _signed_pack(b, width)
@@ -739,11 +744,6 @@ def _join_terms(parts):
     return parts[0] + "".join(t if t.startswith("-") else "+" + t for t in parts[1:])
 
 
-# evaluation points the heuristic gcd tries before Euclid (sympy's
-# dup_zz_heu_gcd tries the same number)
-HEU_GCD_POINTS = 6
-
-
 def _gcd_int_poly(a, b):
     """gcd over Z[x] (lists): the gcd of the contents times the primitive
     gcd with a positive leading coefficient.
@@ -753,8 +753,8 @@ def _gcd_int_poly(a, b):
     balanced xi-adic digits, gives the gcd's primitive part.  With xi
     above 2 min(|f|, |g|) + 1 (max norms of the primitive parts f and g)
     a candidate that divides both is the gcd, so every answer is exact;
-    xi grows by sympy's rule for up to HEU_GCD_POINTS points, and after
-    that Euclid over Q answers."""
+    xi grows by sympy's rule for up to six points (as many as sympy's
+    dup_zz_heu_gcd tries), and after that Euclid over Q answers."""
     if not a or not b:
         return _make_positive(a or b)
     ca, cb = math.gcd(*a), math.gcd(*b)
@@ -764,7 +764,7 @@ def _gcd_int_poly(a, b):
     f = [c // ca for c in a]
     g = [c // cb for c in b]
     xi = 2 * min(_max_abs(f), _max_abs(g)) + 29
-    for _ in range(HEU_GCD_POINTS):
+    for _ in range(6):
         h = math.gcd(_horner(f, xi), _horner(g, xi))
         half = xi // 2
         digits = []

@@ -106,8 +106,8 @@ def test_integer_product_matches_literal(a, b, order, square):
 
 @pytest.mark.parametrize("bits", [1, 64, 700, 1000])
 def test_integer_product_edge_shapes(bits):
-    # the plain loop, the signed Kronecker product and the Ring default
-    # (past Z_KRONECKER_MAX_BITS) on every pairing of shapes
+    # the plain loop and the signed Kronecker product on every pairing of
+    # shapes
     big = 2 ** bits - 1
     dense = [(-1) ** k * (big - 3 * k) for k in range(30)]
     sparse = [0] * 29 + [-big]

@@ -302,8 +302,8 @@ def test_polynomial_gcd_examples_and_fallback(monkeypatch):
     for a, b, want in cases:
         assert tuple(rings._gcd_int_poly_euclid(list(a), list(b))) == want
         assert ZX.gcd(a, b) == want
-    # with no evaluation point to try, the gcd is Euclid's
-    monkeypatch.setattr(rings, "HEU_GCD_POINTS", 0)
+    # with every evaluation point rejected, the gcd is Euclid's
+    monkeypatch.setattr(rings, "_divides", lambda d, f: False)
     for a, b, want in cases:
         assert ZX.gcd(a, b) == want
 

@@ -1,5 +1,6 @@
-"""Dense matrices over a ring; classical and Strassen-Winograd products;
-block-recursive triangular inversion; the shared matrix text format."""
+"""Dense matrices over a ring; classical (the ring's matmul hook) and
+Strassen-Winograd products; block-recursive triangular inversion; the
+shared matrix text format."""
 
 from .errors import (NOT_A_UNIT, DimensionMismatch, NotInvertibleDiagonal,
                      ParseError)
@@ -106,13 +107,6 @@ class DenseMatrix:
         return "DenseMatrix(%s, %dx%d)" % (self.ring.name, self.rows, self.cols)
 
 
-def _classical(ring, a, b):
-    # a: m x n rows, b: n x p rows -> m x p rows, one ring.dot per entry
-    bt = list(zip(*b))
-    dot = ring.dot
-    return [[dot(row, col) for col in bt] for row in a]
-
-
 def _madd(ring, a, b):
     add = ring.add
     return [[add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -126,7 +120,7 @@ def _msub(ring, a, b):
 def _winograd(ring, a, b, cutoff):
     n = len(a)
     if n <= cutoff or n % 2 == 1:
-        return _classical(ring, a, b)
+        return ring.matmul(a, b)
     h = n // 2
     a11 = [r[:h] for r in a[:h]]
     a12 = [r[h:] for r in a[:h]]
@@ -181,7 +175,7 @@ def mat_mul(a, b, strategy="auto", cutoff=DEFAULT_STRASSEN_CUTOFF):
     if strategy == "auto":
         strategy = "strassen" if min(a.rows, a.cols, b.cols) > cutoff else "classical"
     if strategy == "classical":
-        rows = _classical(ring, a.to_rows(), b.to_rows())
+        rows = ring.matmul(a.to_rows(), b.to_rows())
         return DenseMatrix.from_rows(ring, rows)
     if strategy != "strassen":
         raise ValueError("unknown strategy %r" % (strategy,))
@@ -236,7 +230,7 @@ def _tri_inv(ring, a, side):
     else:
         a3, first, last = [r[h:] for r in a[:h]], inv1, inv2
     corner = [[ring.neg(x) for x in r]
-              for r in _classical(ring, _classical(ring, first, a3), last)]
+              for r in ring.matmul(ring.matmul(first, a3), last)]
     z = [[ring.zero] * h for _ in range(h)]
     top, bottom = (z, corner) if side == "lower" else (corner, z)
     return ([x + y for x, y in zip(inv1, top)] +

@@ -262,3 +262,13 @@ def test_cli_det_of_sparse_high_degree_polynomial_entries(tmp_path, capsys):
     path.write_text("2 2 Z[x]\n1*x^4096+1 1*x^4096+-1\n1*x^4095+1 1*x^4096+2\n")
     assert main(["det", "--in", str(path)]) == 0
     assert capsys.readouterr().out == "1*x^8192-1*x^8191+2*x^4096+1*x^4095+3\n"
+
+
+def test_cli_det_of_sparse_high_degree_rational_polynomial_entries(tmp_path, capsys):
+    # the same binomials over Q[x]: one Z product of the operands with
+    # their denominators cleared instead of one Fraction op per pair of
+    # coefficients; the expected value is the Z[x] determinant's
+    path = tmp_path / "sparse.txt"
+    path.write_text("2 2 Q[x]\n1*x^4096+1 1*x^4096+-1\n1*x^4095+1 1*x^4096+2\n")
+    assert main(["det", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "1*x^8192-1*x^8191+2*x^4096+1*x^4095+3\n"

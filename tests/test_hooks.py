@@ -2,6 +2,8 @@
 default it replaces, and whole algorithms run uncounted (native hooks)
 against the same runs under CountingRing (literal defaults)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,8 @@ from exactla import charpoly, matrix, poly, registry, sequences
 from exactla.elimination import det_field, gauss_lu
 from exactla.errors import NotApplicable
 from exactla.matrix import DenseMatrix
-from exactla.rings import ZZ, CountingRing, IntegersMod, Ring
+from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod, OpStats, PolynomialRing,
+                           Ring, SeriesRing, ring_from_string)
 from exactla.rng import Rng
 
 MODULI = (2, 12, 10007, 998244353, (1 << 61) - 1)
@@ -130,10 +133,118 @@ def test_zp_product_reduces_operands_outside_the_residue_range():
             assert ring.product(a, b, order) == Ring.product(ring, a, b, order), (a, b, order)
 
 
+@st.composite
+def zp_matrices(draw):
+    """(ring, a, b): a is r x k and b k x c, on both sides of
+    MATMUL_PACK_MIN, sometimes all zero, sometimes with entries outside
+    [0, m)."""
+    m = draw(st.sampled_from(MODULI))
+    r, k, c = (draw(st.sampled_from((1, 2, 7, 8, 9, 13))) for _ in range(3))
+    value = draw(st.sampled_from((st.just(0), st.integers(0, m - 1),
+                                  st.integers(-3 * m, 3 * m))))
+    a = draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(value, min_size=c, max_size=c), min_size=k, max_size=k))
+    return IntegersMod(m), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(zp_matrices())
+def test_zp_matmul_matches_literal(case):
+    ring, a, b = case
+    assert ring.matmul(a, b) == Ring.matmul(ring, a, b)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_zp_matmul_edge_shapes(m):
+    ring = IntegersMod(m)
+    top = [[m - 1] * 16 for _ in range(16)]         # the widest slot sums
+    ramp = [[(7 * i + j) * m - i for j in range(9)] for i in range(12)]
+    shapes = [([[0]], [[0]]), ([[m - 1]], [[m - 1]]), ([[1] * 16], [[2]] * 16),
+              ([[3]] * 16, [[5] * 16]), (top, top), (ramp, [r[:8] for r in ramp[:9]]),
+              ([[0] * 8] * 8, top[:8]), ([[-1] * 10] * 8, [[-m] * 8] * 10)]
+    for a, b in shapes:
+        assert ring.matmul(a, b) == Ring.matmul(ring, a, b)
+
+
+def _series_operands(base, order, seed):
+    """Krylov-style operands (constant and z terms only), dense ones and
+    mixed ones, each k in 0..3 long."""
+    rng = Rng(seed)
+    zero = base.zero
+
+    def element():
+        return base.random_element(rng)
+
+    def two_term():
+        return (element(), element()) + (zero,) * (order - 1)
+
+    def dense():
+        return tuple(element() for _ in range(order + 1))
+
+    for k in range(4):
+        yield [two_term() for _ in range(k)], [dense() for _ in range(k)]
+        yield [dense() for _ in range(k)], [dense() for _ in range(k)]
+        yield [(zero,) * (order + 1)] * k, [dense() for _ in range(k)]
+        yield [dense() for _ in range(k)], [two_term() for _ in range(k)]
+
+
+@pytest.mark.parametrize("spec", ["zp:10007", "zp:7", "Z", "Z[x]", "zp:7[x]/1*x^3+-1"])
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_series_dot_matches_literal(spec, order):
+    base = ring_from_string(spec)
+    sr = SeriesRing(base, order)
+    for seed in range(4):
+        for xs, ys in _series_operands(base, order, seed):
+            assert sr.dot(xs, ys) == Ring.dot(sr, xs, ys), (spec, xs, ys)
+
+
+def test_series_dot_stays_literal_over_a_counted_tower():
+    # a CountingRing directly under the series ring, and one under Z[x]
+    # (bench group 4 counts Z inside Z[x]): both count the literal stream.
+    # In the second case the z^1 terms of the second product cancel, which
+    # the literal stream sums on their own and a per-term accumulator
+    # would add into the first product one by one (4 adds, not 2).
+    cases = ((CountingRing(IntegersMod(7)), [(1, 2, 0), (3, 0, 0)], [(4, 5, 6), (1, 1, 1)],
+              OpStats(adds=5, muls=8)),
+             (PolynomialRing(CountingRing(ZZ)), [((1,), (), ()), ((1,), (1,), ())],
+              [((), (5, 5, 5), ()), ((1, 1), (-1, -1), ())], OpStats(adds=2, muls=11)))
+    for base, xs, ys, want in cases:
+        counted = base if isinstance(base, CountingRing) else base.base
+        got = SeriesRing(base, 2).dot(xs, ys)
+        assert counted.stats == want
+        counted.stats = OpStats()
+        assert got == Ring.dot(SeriesRing(base, 2), xs, ys)
+        assert counted.stats == want
+
+
+@st.composite
+def rational_lists(draw, max_size=25):
+    """Rational coefficient lists: zeros, negatives, trailing zeros and
+    denominators up to 2^80."""
+    num = st.integers(-2 ** 70, 2 ** 70)
+    den = st.sampled_from((1, 1, 2, 3, 12, 2 ** 80 + 1, 3 ** 40))
+    value = st.builds(Fraction, num, den)
+    if draw(st.booleans()):
+        value = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), value)
+    xs = draw(st.lists(value, max_size=max_size))
+    return xs + [Fraction(0)] * draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_lists(), rational_lists(), st.one_of(st.none(), st.integers(0, 40)),
+       st.booleans())
+def test_rational_product_matches_literal(a, b, order, square):
+    if square:
+        b = a
+    want = Ring.product(QQ, a, b, order)
+    assert QQ.product(a, b, order) == want
+    assert QQ.product(tuple(a), tuple(b), order) == want
+
+
 def test_counting_ring_takes_the_literal_defaults():
     for inner in (IntegersMod(10007), ZZ):
         counted = CountingRing(inner)
-        for hook in ("dot", "addmul", "submul", "product"):
+        for hook in ("dot", "addmul", "submul", "product", "matmul"):
             assert getattr(type(counted), hook) is getattr(Ring, hook)
         assert counted.dot([1, 2, 3], [4, 5, 6]) == 32
         assert (counted.stats.muls, counted.stats.adds) == (3, 2)

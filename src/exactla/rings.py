@@ -447,41 +447,29 @@ class IntegersMod(Ring):
 
     def _kronecker(self, a, la, b, lb, size):
         """First `size` coefficients of a[:la]*b[:lb] mod m: each operand
-        packed, as residues in [0, m), into one int with a byte-aligned
-        slot wide enough for any product coefficient, one bigint product,
-        unpacked and reduced."""
+        packed into one int with a slot wide enough for any product
+        coefficient, one bigint product, unpacked and reduced."""
         m = self.m
         width = ((min(la, lb) * (m - 1) ** 2).bit_length() + 7) // 8
-        pa = int.from_bytes(b"".join([(x % m).to_bytes(width, "little") for x in a[:la]]),
-                            "little")
+        pa = _pack(a[:la], m, width)
         if b is a:
             prod = pa * pa      # CPython squares faster than it multiplies
         else:
-            prod = pa * int.from_bytes(
-                b"".join([(x % m).to_bytes(width, "little") for x in b[:lb]]), "little")
-        raw = prod.to_bytes(width * (la + lb - 1), "little")
-        unpack = int.from_bytes
-        return [unpack(raw[i:i + width], "little") % m for i in range(0, width * size, width)]
+            prod = pa * _pack(b[:lb], m, width)
+        return _unpack(prod.to_bytes(width * (la + lb - 1), "little"), width, size, m)
 
     def matmul(self, a_rows, b_rows):
-        """With at least MATMUL_PACK_MIN rows of a and columns of b, each
-        row of b packed once, as residues, into one int with a byte-aligned
-        slot wide enough for any entry of the product; each output row is
-        then one sum of (entry of a) * (packed row of b), unpacked and
-        reduced.  Smaller products take the dot per entry."""
-        if min(len(a_rows), len(b_rows[0])) < MATMUL_PACK_MIN:
-            return Ring.matmul(self, a_rows, b_rows)
+        """Each row of b packed once into one int with a slot wide enough
+        for any entry of the product; each output row is then one sum of
+        (entry of a) * (packed row of b), unpacked and reduced."""
         m = self.m
         width = ((len(b_rows) * (m - 1) ** 2).bit_length() + 7) // 8
-        size = width * len(b_rows[0])
-        packed = [int.from_bytes(b"".join([(x % m).to_bytes(width, "little") for x in row]),
-                                 "little") for row in b_rows]
-        unpack = int.from_bytes
-        out = []
-        for row in a_rows:
-            raw = sum(map(_mul, [x % m for x in row], packed)).to_bytes(size, "little")
-            out.append([unpack(raw[i:i + width], "little") % m for i in range(0, size, width)])
-        return out
+        cols = len(b_rows[0])
+        size = width * cols
+        packed = [_pack(row, m, width) for row in b_rows]
+        return [_unpack(sum(map(_mul, [x % m for x in row], packed)).to_bytes(size, "little"),
+                        width, cols, m)
+                for row in a_rows]
 
     def div(self, a, b):
         if b % self.m == 0:
@@ -547,13 +535,18 @@ KRONECKER_MIN_TERMS = 10
 # from L = 14 with 64-bit ones.
 Z_KRONECKER_MIN_TERMS = 16
 
-# fewest rows of a and columns of b for which IntegersMod.matmul packs
-# the rows of b rather than taking one dot per entry.  Measured on an 8 x
-# 16 times 16 x c product and an r x 16 times 16 x 16 one over Z/10007
-# and Z/(2^61-1) (CPython 3.11, one pinned CPU): packing is 1.6-2.5x
-# slower at c = 1 or r = 1, breaks even near c = 8 or r = 4-8, and wins
-# 1.1-2x above.
-MATMUL_PACK_MIN = 8
+
+def _pack(xs, m, width):
+    """The residues of xs mod m as one int, in byte-aligned `width`-byte
+    slots, xs[0] lowest."""
+    return int.from_bytes(b"".join([(x % m).to_bytes(width, "little") for x in xs]), "little")
+
+
+def _unpack(raw, width, count, m):
+    """The first `count` `width`-byte slots of the bytes `raw`, each
+    reduced mod m."""
+    unpack = int.from_bytes
+    return [unpack(raw[i:i + width], "little") % m for i in range(0, width * count, width)]
 
 
 def _int_loop(a, la, b, lb, size):

@@ -135,8 +135,8 @@ def test_zp_product_reduces_operands_outside_the_residue_range():
 
 @st.composite
 def zp_matrices(draw):
-    """(ring, a, b): a is r x k and b k x c, on both sides of
-    MATMUL_PACK_MIN, sometimes all zero, sometimes with entries outside
+    """(ring, a, b): a is r x k and b k x c, from single rows and
+    columns up, sometimes all zero, sometimes with entries outside
     [0, m)."""
     m = draw(st.sampled_from(MODULI))
     r, k, c = (draw(st.sampled_from((1, 2, 7, 8, 9, 13))) for _ in range(3))

@@ -5,7 +5,6 @@ Every algorithm returns a CharPoly normalized to the same convention:
 P_A(X) = det(A - X*I) with leading coefficient p_0 = (-1)^n.
 """
 
-import hashlib
 import math
 from itertools import count, islice
 
@@ -44,6 +43,7 @@ class CharPoly:
         return all(self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
 
     def digest(self):
+        import hashlib      # here, so that `exactla charpoly` does not load it
         text = ";".join(self.ring.format(c) for c in self.coeffs)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 

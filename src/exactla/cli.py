@@ -7,11 +7,13 @@ Subcommands: charpoly, det, validate, bench.  Exit codes: 0 success,
 import argparse
 import sys
 
-from . import bench, registry
+from . import registry
 from .charpoly import determinant
 from .errors import ExactLAError
 from .matrix import parse_matrix
-from .modular import det_modular
+
+# bench and modular are imported by the subcommands that use them, so
+# that `charpoly` and `det` do not compile them in each fresh process
 
 
 def _read_matrix(path):
@@ -37,11 +39,15 @@ def cmd_det(args):
     if args.modular and m.ring.name != "Z":
         print("error: --modular needs an integer matrix", file=sys.stderr)
         return 1
-    print(m.ring.format((det_modular if args.modular else determinant)(m)))
+    det = determinant
+    if args.modular:
+        from .modular import det_modular as det
+    print(m.ring.format(det(m)))
     return 0
 
 
 def cmd_validate(args):
+    from . import bench
     params = ()
     if args.p or args.vars or args.ideal:
         params = tuple(sorted((k, v) for k, v in
@@ -63,6 +69,7 @@ def cmd_validate(args):
 
 
 def cmd_bench(args):
+    from . import bench
     with open(args.config) as fh:
         cfg = bench.parse_config(fh.read())
     records, csv_text, md_text, unanimous = bench.run_benchmark(cfg)

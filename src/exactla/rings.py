@@ -24,8 +24,12 @@ not depend on the hooks.  IntegersMod overrides all five (sums in C, one
 reduction per dot or entry, Kronecker substitution for products and
 packed rows for matmul); IntegerRing overrides the first four,
 RationalField product (one Z product of the operands with their
-denominators cleared), and SeriesRing dot (addmul over the nonzero
-coefficients, unless a CountingRing is in its base tower).
+denominators cleared), SeriesRing dot (addmul over the nonzero
+coefficients, unless a CountingRing is in its base tower), and
+QuotientRing the first four and mul (one Z/p product of flat forms and
+one tabulated reduction per output element; see its docstring).
+PolynomialRing add and sub run the literal base ops of poly.add and
+poly.sub without the list round-trips.
 
 Elements are plain Python values (ints, Fractions, tuples) and are
 immutable by convention; rings are stateless except for CountingRing.
@@ -35,8 +39,10 @@ univariate PolynomialRing, with nested dense tuples as elements.
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 from operator import mul as _mul
 
 from . import multipoly as mp
@@ -535,6 +541,13 @@ KRONECKER_MIN_TERMS = 10
 # from L = 14 with 64-bit ones.
 Z_KRONECKER_MIN_TERMS = 16
 
+# most entries (flat positions times normal-form residues) of the table a
+# QuotientRing builds; past it the ring keeps the tower path.  At the
+# bound, Z/p[x]/<x^362+3x^5-1> builds its table in 13 ms (p = 7) to 41 ms
+# (p = 2^61-1), holds it in 0.3-2.4 MB, and multiplies 22x to 3.7x faster
+# than through _rem (CPython 3.11, one pinned CPU of a 2-CPU Xeon).
+FLAT_TABLE_MAX = 1 << 18
+
 
 def _pack(xs, m, width):
     """The residues of xs mod m as one int, in byte-aligned `width`-byte
@@ -547,6 +560,24 @@ def _unpack(raw, width, count, m):
     reduced mod m."""
     unpack = int.from_bytes
     return [unpack(raw[i:i + width], "little") % m for i in range(0, width * count, width)]
+
+
+def _slot_format(bound):
+    """(bytes per slot, struct code) for slots that hold 0..bound: 1, 2, 4
+    or 8 bytes and their unsigned code, else the bytes needed and None."""
+    width = (bound.bit_length() + 7) // 8
+    for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
+        if width <= size:
+            return size, code
+    return width, None
+
+
+def _to_slots(xs, width, code):
+    """The ints xs, each in [0, 256^width), as one int of `width`-byte
+    slots, xs[0] lowest."""
+    if code:
+        return int.from_bytes(struct.pack("<%d%s" % (len(xs), code), *xs), "little")
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in xs]), "little")
 
 
 def _int_loop(a, la, b, lb, size):
@@ -647,17 +678,36 @@ class PolynomialRing(Ring):
     def from_base(self, c):
         return () if self.base.is_zero(c) else (c,)
 
+    # add and sub run poly.add and poly.sub's base ops in their order
+    # (sub(zero, c) for each extra term of a longer b), then strip the top
+
     def add(self, a, b):
-        return tuple(poly.add(self.base, list(a), list(b)))
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(map(self.base.add, a, b))
+        out += a[len(b):]
+        return self._strip(out)
 
     def sub(self, a, b):
-        return tuple(poly.sub(self.base, list(a), list(b)))
+        base = self.base
+        out = list(map(base.sub, a, b))
+        if len(b) > len(a):
+            out += [base.sub(base.zero, c) for c in b[len(a):]]
+        else:
+            out += a[len(b):]
+        return self._strip(out)
+
+    def _strip(self, out):
+        is_zero = self.base.is_zero
+        while out and is_zero(out[-1]):
+            out.pop()
+        return tuple(out)
 
     def mul(self, a, b):
         return tuple(self.base.product(a, b))
 
     def neg(self, a):
-        return tuple(self.base.neg(c) for c in a)
+        return tuple(map(self.base.neg, a))
 
     def exact_div(self, a, b):
         if not b:
@@ -933,10 +983,26 @@ class QuotientRing(PolynomialRing):
     modulo Ik.
 
     Elements are the reduced MultiPolynomialRing(p, vars) elements, and
-    the generators are MultiPolynomialRing(p, vars) elements.  A product's
-    coefficients are already reduced, so mul divides by Ik alone; the full
-    normal form (reduce) runs for parse, the generators and
-    quotient_reduce.
+    the generators are MultiPolynomialRing(p, vars) elements.  The full
+    normal form (reduce: each coefficient, then _rem by Ik) runs for parse,
+    the generators and quotient_reduce.
+
+    Arithmetic goes through a flat form: the residues of an element at
+    mixed-radix positions, radix 2*d_i - 1 for v_i (d_i the degree of
+    Ii), v1 fastest.  The product of two reduced elements then has every
+    monomial at its own position below `span`, so one Z/p product of two
+    flat forms -- or of two stacked lists of elements, element k at
+    k*span -- holds every unreduced product (_kron: IntegersMod.product
+    for short operands, else one packed bigint product of which only
+    the wanted slots are unpacked).  The normal form of the monomial at
+    each position is tabulated when the ring is built (one packed row
+    per position, from the lower level's table and one base.submul per
+    row), and a block of `span` residues reduces by one packed sum: mul,
+    product, dot (ys stacked backward, the middle block), addmul and
+    submul each make one Z/p product and apply the table once per output
+    element.  Past FLAT_TABLE_MAX table entries there is no table, and
+    the ring keeps the tower path (mul is _rem of the base product, the
+    hooks are the Ring defaults).
     """
 
     exact_div = Ring.exact_div      # division by the units +-1 only
@@ -971,6 +1037,152 @@ class QuotientRing(PolynomialRing):
         self.name = "zp:%d[%s]/%s" % (
             p, ",".join(varnames), ";".join(self._poly.format(g) for g in ideal))
         self.spec = RingSpec(p, False, False, False, p - 1, frozenset())
+        d = self.degrees[-1]
+        self.span = (base.span if k > 1 else 1) * (2 * d - 1)
+        self.size = (base.size if k > 1 else 1) * d       # residues in a normal form
+        self._tower = k > 1
+        self._pad = [0] * self.span
+        self._table = None
+        if self.span * self.size <= FLAT_TABLE_MAX:
+            self._tabulate()
+
+    def _tabulate(self):
+        """Packed normal forms of the monomials at every flat position:
+        the lower level's monomials times v^t, for t < d as they are, for
+        t >= d from t-1 by one shift and one base.submul by the modulus."""
+        base, d, p = self.base, self.degrees[-1], self.p
+        if self._tower:
+            lower = [base._reduce_flat([0] * m + [1]) for m in range(base.span)]
+        else:
+            lower = [base.one]
+        # a flat block holds residues below 2p (addmul adds y before reducing)
+        self._slot = width, code = _slot_format(2 * self.span * (p - 1) ** 2)
+        zero, g = base.zero, self.modulus[:d]
+        table = [0] * self.span
+        for m, c in enumerate(lower):
+            for t in range(2 * d - 1):
+                if t < d:
+                    r = [zero] * d
+                    r[t] = c
+                else:
+                    top = r.pop()
+                    r.insert(0, zero)
+                    if top != zero:
+                        r = base.submul(r, top, g)
+                table[t * len(lower) + m] = _to_slots(self._dense(r), width, code)
+        self._table = table
+        self._table_bytes = width * self.size
+        self._unpack_table = (struct.Struct("<%d%s" % (self.size, code)).unpack if code else
+                              lambda raw: _unpack(raw, width, self.size, p))
+
+    def _dense(self, a):
+        """The `size` residues of a (not necessarily stripped) in the
+        normal-form basis, v1 fastest."""
+        if not self._tower:
+            return list(a) + [0] * (self.size - len(a))
+        out = []
+        for c in a:
+            out += self.base._dense(c)
+        return out + [0] * (self.size - len(out))
+
+    def _flat(self, a):
+        """The residues of an element at their flat positions."""
+        return self.base._stack(a) if self._tower else a
+
+    def _stack(self, xs):
+        """The flat forms of the elements xs, element k at k*span."""
+        out, pad, flat = [], self._pad, self._flat
+        for x in xs:
+            f = flat(x)
+            out += f
+            out += pad[len(f):]
+        return out
+
+    def _kron(self, fa, fb, lo, count):
+        """At most `count` residues of the product of the residue lists fa
+        and fb, from position lo on (fewer where the product ends).  Short
+        operands go to IntegersMod.product (its plain-int loop); longer
+        ones are packed into slots wide enough for any product
+        coefficient, one bigint product, of which only the wanted slots
+        are unpacked."""
+        p = self.p
+        if min(len(fa), len(fb)) < KRONECKER_MIN_TERMS:
+            return self.scalars.product(fa, fb)[lo:lo + count]
+        width, code = _slot_format(min(len(fa), len(fb)) * (p - 1) ** 2)
+        prod = (_to_slots(fa, width, code) * _to_slots(fb, width, code)) >> (8 * width * lo)
+        raw = prod.to_bytes(width * max(count, len(fa) + len(fb) - lo), "little")
+        if code:
+            return [r % p for r in struct.unpack_from("<%d%s" % (count, code), raw)]
+        return _unpack(raw, width, count, p)
+
+    def _reduce_flat(self, c):
+        """The element whose flat form is c (at most `span` residues below
+        2p, any monomials): one packed sum over the table."""
+        p = self.p
+        raw = sum(map(_mul, c, self._table)).to_bytes(self._table_bytes, "little")
+        return self._nest([r % p for r in self._unpack_table(raw)])
+
+    def _nest(self, v):
+        """The canonical element of its `size` residues v (a list)."""
+        if self._tower:
+            n, nest = self.base.size, self.base._nest
+            v = [nest(v[i:i + n]) for i in range(0, self.size, n)]
+        while v and not v[-1]:
+            v.pop()
+        return tuple(v)
+
+    def mul(self, a, b):
+        if self._table is None:
+            return self._rem(self.base.product(a, b))
+        return self._reduce_flat(self._kron(self._flat(a), self._flat(b), 0, self.span))
+
+    def product(self, a, b, order=None):
+        if self._table is None:
+            return Ring.product(self, a, b, order)
+        n = len(a) + len(b) - 1 if order is None else order + 1
+        if n <= 0:
+            return []
+        span, reduce = self.span, self._reduce_flat
+        c = self._kron(self._stack(a), self._stack(b), 0, n * span)
+        out = [reduce(c[i:i + span]) for i in range(0, n * span, span)]
+        if order is None:
+            while out and not out[-1]:
+                out.pop()
+        return out
+
+    def dot(self, xs, ys):
+        """The middle block of one product: xs stacked forward, ys
+        backward (one mul for a single pair)."""
+        n = min(len(xs), len(ys))
+        if self._table is None or n < 2:
+            return Ring.dot(self, xs, ys)
+        span = self.span
+        return self._reduce_flat(self._kron(self._stack(xs[:n]), self._stack(ys[n - 1::-1]),
+                                            (n - 1) * span, span))
+
+    # addmul and submul: one mul and one add or sub for a single pair
+
+    def addmul(self, ys, c, xs):
+        if self._table is None or min(len(ys), len(xs)) < 2:
+            return Ring.addmul(self, ys, c, xs)
+        return self._axpy(ys, self._flat(c), xs)
+
+    def submul(self, ys, c, xs):
+        if self._table is None or min(len(ys), len(xs)) < 2:
+            return Ring.submul(self, ys, c, xs)
+        p = self.p
+        return self._axpy(ys, [-r % p for r in self._flat(c)], xs)
+
+    def _axpy(self, ys, fc, xs):
+        """[y + c*x for each pair], fc the flat form of c or of -c: one
+        product of fc and the stacked xs, the stacked ys added before the
+        table."""
+        n = min(len(ys), len(xs))
+        span, reduce = self.span, self._reduce_flat
+        c = self._kron(fc, self._stack(xs[:n]), 0, n * span)
+        y = self._stack(ys[:n])
+        c = list(map(_add, c, y)) + y[len(c):]
+        return [reduce(c[i:i + span]) for i in range(0, n * span, span)]
 
     def _reduce_coefficients(self, a):
         lower = self.base.reduce if isinstance(self.base, QuotientRing) else self.base.from_int
@@ -993,9 +1205,6 @@ class QuotientRing(PolynomialRing):
     def reduce(self, a):
         """Normal form of a MultiPolynomialRing(p, vars) element."""
         return self._rem(self._reduce_coefficients(a))
-
-    def mul(self, a, b):
-        return self._rem(self.base.product(a, b))
 
     def format(self, a):
         return self._poly.format(a)

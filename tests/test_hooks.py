@@ -2,13 +2,15 @@
 default it replaces, and whole algorithms run uncounted (native hooks)
 against the same runs under CountingRing (literal defaults)."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactla import charpoly, matrix, poly, registry, sequences
+from exactla import bench, charpoly, matrix, poly, registry, rings, sequences
+from exactla import multipoly as mp
 from exactla.elimination import det_field, gauss_lu
 from exactla.errors import NotApplicable
 from exactla.matrix import DenseMatrix
@@ -248,6 +250,169 @@ def test_counting_ring_takes_the_literal_defaults():
             assert getattr(type(counted), hook) is getattr(Ring, hook)
         assert counted.dot([1, 2, 3], [4, 5, 6]) == 32
         assert (counted.stats.muls, counted.stats.adds) == (3, 2)
+    # a counted quotient counts one mul per scalar product, whatever the
+    # flat form does inside it
+    quotient = ring_from_string("zp:7[x]/1*x^3+-1")
+    counted = CountingRing(quotient)
+    xs, ys = [(1, 2), (3, 0, 1), ()], [(0, 1, 1), (5,), (2, 2, 2)]
+    assert counted.dot(xs, ys) == quotient.dot(xs, ys)
+    assert counted.stats == OpStats(adds=2, muls=3)
+
+
+# ---------------------------------------------------------------------------
+# quotient rings: the flat form against the tower path it replaces
+
+QUOTIENT_SPECS = (
+    "zp:7[x]/1*x^3+-1",
+    "zp:11[x,y]/1*x^2+-3;1*y^2+-1*x^1",
+    "zp:3[x,y,z]/1*x^2+1;1*y^2+-1*x^1;1*z^2+-1*y^1+1",
+    "zp:5[x]/1*x^1+-2",                             # degree-1 generators
+    "zp:7[x,y]/1*x^1+-3;1*y^3+-1*x^1",
+    "zp:13[x,y]/1*x^3+2;1*y^1+-1*x^2",
+    "zp:2[x]/1*x^4+1",                              # (x+1)^4: many zero divisors
+    "zp:10007[x]/1*x^12+3*x^5+-1",                  # long flat forms: packed products
+    "zp:2305843009213693951[x]/1*x^3+-5",           # slots wider than 8 bytes
+    "zp:998244353[x,y]/1*x^2+-1;1*y^3+-1*x^1",
+)
+
+
+def _tower_ring(spec):
+    """The ring of spec with no flat form at any level: mul is _rem of
+    the base product, the hooks are the Ring defaults."""
+    saved, rings.FLAT_TABLE_MAX = rings.FLAT_TABLE_MAX, 0
+    try:
+        return ring_from_string(spec)
+    finally:
+        rings.FLAT_TABLE_MAX = saved
+
+
+_QUOTIENT_PAIRS = {}
+
+
+def _quotient_pair(spec):
+    if spec not in _QUOTIENT_PAIRS:
+        flat, tower = ring_from_string(spec), _tower_ring(spec)
+        assert flat._table is not None and tower._table is None
+        _QUOTIENT_PAIRS[spec] = flat, tower
+    return _QUOTIENT_PAIRS[spec]
+
+
+def quotient_elements(ring):
+    """Reduced elements, often with zero coefficients, sometimes zero."""
+    exps = list(mp.exponents_below(ring.degrees))
+    coeff = st.one_of(st.just(0), st.just(0), st.integers(0, ring.p - 1))
+    return st.lists(coeff, min_size=len(exps), max_size=len(exps)).map(
+        lambda cs: mp.from_dict(dict(zip(exps, cs)), len(ring.vars)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_hooks_match_the_tower_path(data):
+    flat, tower = _quotient_pair(data.draw(st.sampled_from(QUOTIENT_SPECS)))
+    element = quotient_elements(flat)
+    a, b, c = data.draw(element), data.draw(element), data.draw(element)
+    xs = data.draw(st.lists(element, max_size=7))
+    ys = data.draw(st.lists(element, max_size=7))
+    order = data.draw(st.one_of(st.none(), st.integers(0, 15)))
+    assert flat.mul(a, b) == tower.mul(a, b) == flat._rem(list(flat.base.product(a, b)))
+    assert flat.product(xs, ys, order) == tower.product(xs, ys, order)
+    assert flat.product(xs, ys, order) == Ring.product(flat, xs, ys, order)
+    assert flat.dot(xs, ys) == tower.dot(xs, ys) == Ring.dot(flat, xs, ys)
+    assert flat.addmul(ys, c, xs) == tower.addmul(ys, c, xs) == Ring.addmul(flat, ys, c, xs)
+    assert flat.submul(ys, c, xs) == tower.submul(ys, c, xs) == Ring.submul(flat, ys, c, xs)
+
+
+def test_quotient_hooks_on_zero_divisors_and_zero():
+    # (x-1)(x^2+x+1) = x^3-1, (x+1)^2 (x+1)^2 = x^4+1 over Z/2, and
+    # (x-5)(x+5) = x^2-3 over Z/11 (in the lower level of the tower)
+    cases = (("zp:7[x]/1*x^3+-1", (6, 1), (1, 1, 1)),
+             ("zp:2[x]/1*x^4+1", (1, 0, 1), (1, 0, 1)),
+             ("zp:11[x,y]/1*x^2+-3;1*y^2+-1*x^1", ((6, 1),), ((5, 1),)))
+    for spec, a, b in cases:
+        flat, tower = _quotient_pair(spec)
+        zero = flat.zero
+        assert flat.mul(a, b) == tower.mul(a, b) == zero
+        for order in (None, 0, 1, 3):
+            for xs, ys in (([a], [b]), ([a, a], [b, zero]), ([zero], [a]), ([], [a]), ([a], [])):
+                want = tower.product(xs, ys, order)
+                assert flat.product(xs, ys, order) == want, (spec, xs, ys, order)
+                assert want == ([] if order is None else [zero] * (order + 1))
+        assert flat.dot([a, a], [b, b]) == zero
+        assert flat.addmul([a, b], a, [b, a]) == tower.addmul([a, b], a, [b, a])
+        assert flat.submul([a], zero, [b]) == [a]
+        assert flat.dot([], []) == flat.dot([a], []) == zero
+
+
+def test_large_generator_flat_path_agrees_and_is_faster():
+    # Berkowitz n=8 and 300 products over Z/7[x]/<x^64-1>: the flat form
+    # against the tower path, which each took 10x as long in one test
+    # (digest taken with the tower path)
+    spec = "zp:7[x]/1*x^64+-1"
+    case = bench.BenchCase(3, 8, 1, "", (("ideal", "1*x^64+-1"), ("p", "7"), ("vars", "x")))
+    a = bench.generate_matrix(case)
+    b = a.with_ring(_tower_ring(spec), lambda x: x)
+    rng = Rng(3)
+    els = [a.ring.random_element(rng) for _ in range(301)]
+
+    def best(run):
+        out = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            got = run()
+            out.append(time.perf_counter() - t0)
+        return got, min(out)
+
+    def muls(ring):
+        return lambda: [ring.mul(x, y) for x, y in zip(els, els[1:])]
+
+    (flat_cp, flat_s), (tower_cp, tower_s) = (best(lambda: charpoly.charpoly_berkowitz(m))
+                                              for m in (a, b))
+    assert flat_cp.digest() == tower_cp.digest() == "eb040e78043da7c9"
+    assert flat_s < tower_s
+    (flat_p, flat_s), (tower_p, tower_s) = best(muls(a.ring)), best(muls(b.ring))
+    assert flat_p == tower_p
+    assert flat_s < tower_s
+
+
+@st.composite
+def polynomial_operands(draw):
+    """(base, a, b): coefficient lists over Z, Z/7, Q or a quotient tower,
+    of any lengths, sometimes with trailing zeros or cancelling terms."""
+    kind = draw(st.sampled_from(("Z", "zp:7", "Q", "tower")))
+    if kind == "tower":
+        base = _quotient_pair("zp:11[x,y]/1*x^2+-3;1*y^2+-1*x^1")[0]
+        value = quotient_elements(base)
+    else:
+        base = ring_from_string(kind)
+        value = {"Z": st.integers(-5, 5), "zp:7": st.integers(0, 6),
+                 "Q": st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))}[kind]
+    a = draw(st.lists(value, max_size=6))
+    b = draw(st.one_of(st.lists(value, max_size=6), st.just(list(a))))
+    a += [base.zero] * draw(st.integers(0, 2))
+    return base, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_operands())
+def test_polynomial_add_sub_neg_match_poly(case):
+    base, a, b = case
+    ring = PolynomialRing(base)
+    for x, y in ((a, b), (b, a), (tuple(a), tuple(b))):
+        assert ring.add(x, y) == tuple(poly.add(base, list(x), list(y)))
+        assert ring.sub(x, y) == tuple(poly.sub(base, list(x), list(y)))
+    assert ring.neg(a) == tuple(base.neg(c) for c in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6))
+def test_polynomial_add_sub_count_like_poly(a, b):
+    for op in ("add", "sub"):
+        for x, y in ((a, b), (b, a)):
+            ring, literal = CountingRing(ZZ, track_bits=True), CountingRing(ZZ, track_bits=True)
+            got = getattr(PolynomialRing(ring), op)(tuple(x), tuple(y))
+            assert got == tuple(getattr(poly, op)(literal, list(x), list(y)))
+            assert (ring.stats, ring.max_bits) == (literal.stats, literal.max_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +468,26 @@ def test_mat_mul_agrees_uncounted_and_counted(p, n):
         got = matrix.mat_mul(a, b, strategy, 16).entries
         assert got == matrix.mat_mul(_counted(a), _counted(b), strategy, 16).entries
     assert a.apply(b.col(0)) == _counted(a).apply(b.col(0))
+
+
+def test_mat_mul_auto_takes_strassen_only_over_a_literal_matmul(monkeypatch):
+    # Z/p has a native matmul, which beats Strassen at every size measured;
+    # Z and the quotient rings keep the literal Ring.matmul and Strassen
+    # above the cutoff, counted or not
+    calls = []
+    real = matrix._winograd
+    monkeypatch.setattr(matrix, "_winograd", lambda *args: calls.append(1) or real(*args))
+    zp = IntegersMod(10007)
+    a, b = _matrix(zp, 128, 1), _matrix(zp, 128, 2)
+    assert matrix.mat_mul(a, b).entries == matrix.mat_mul(a, b, "classical").entries
+    small = _matrix(zp, 8, 3)
+    for m in (small, _counted(small)):
+        matrix.mat_mul(m, m, "auto", 4)
+    assert not calls
+    quotient = ring_from_string("zp:7[x]/1*x^3+-1")
+    rng = Rng(4)
+    for ring in (ZZ, CountingRing(ZZ), quotient, CountingRing(quotient)):
+        m = DenseMatrix(ring, 8, 8, [ring.from_int(rng.int_between(-9, 9)) for _ in range(64)])
+        calls.clear()
+        assert matrix.mat_mul(m, m, "auto", 4).entries == matrix.mat_mul(m, m, "classical").entries
+        assert calls, ring.name

@@ -345,8 +345,8 @@ def test_quotient_hooks_on_zero_divisors_and_zero():
 
 def test_large_generator_flat_path_agrees_and_is_faster():
     # Berkowitz n=8 and 300 products over Z/7[x]/<x^64-1>: the flat form
-    # against the tower path, which each took 10x as long in one test
-    # (digest taken with the tower path)
+    # against the tower path, which takes 5-10x as long on a 2-CPU Xeon
+    # (the digest is the tower path's)
     spec = "zp:7[x]/1*x^64+-1"
     case = bench.BenchCase(3, 8, 1, "", (("ideal", "1*x^64+-1"), ("p", "7"), ("vars", "x")))
     a = bench.generate_matrix(case)

@@ -74,7 +74,7 @@ class NoCandidateWithinBound(ExactLAError):
 
 
 class PrimePoolExhausted(ExactLAError):
-    """The embedded prime pool is too small for the requested modulus product."""
+    """The embedded prime ladder is too small for the requested modulus product."""
 
 
 class GramCoefficientZero(ExactLAError):

@@ -37,6 +37,7 @@ Multivariate polynomials and triangular quotients are towers of the
 univariate PolynomialRing, with nested dense tuples as elements.
 """
 
+import functools
 import math
 import re
 import struct
@@ -348,6 +349,9 @@ QQ = RationalField()
 # ---------------------------------------------------------------------------
 # Z/pZ
 
+# run by every IntegersMod(m), one per modular image: 4 ms at 320 bits and
+# 63 ms at 1024, as much as a Hessenberg image of n = 24
+@functools.lru_cache(maxsize=256)
 def _is_probable_prime(n):
     if n < 2:
         return False

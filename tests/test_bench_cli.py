@@ -231,9 +231,9 @@ def test_z_charpoly_and_its_q_image_have_one_digest():
 
 
 def test_cli_prints_integers_past_the_str_digit_limit(tmp_path, capsys):
-    # two 2500-digit diagonal entries: det and the constant coefficient have
-    # 5000 digits, past Python's default int-to-str limit of 4300
-    x, y = 10 ** 2499 + 7, 2 * 10 ** 2499 + 3
+    # two 2600-digit diagonal entries: det and the constant coefficient have
+    # 5200 digits, past Python's default int-to-str limit of 4300
+    x, y = 10 ** 2599 + 7, 2 * 10 ** 2599 + 3
     path = tmp_path / "big.txt"
     path.write_text("2 2 Z\n%d 0\n0 %d\n" % (x, y))
     limit = sys.get_int_max_str_digits()
@@ -247,12 +247,12 @@ def test_cli_prints_integers_past_the_str_digit_limit(tmp_path, capsys):
     assert capsys.readouterr().out == want_det
     assert main(["charpoly", "--in", str(path)]) == 0
     assert capsys.readouterr().out == want_cp
-    # the Hadamard bound needs more primes than the pool holds
+    # the Hadamard bound needs more rungs than the prime ladder holds
     assert main(["det", "--in", str(path), "--modular"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a bound of 16604 bits needs more than "
-                            "the prime pool's 12200 bits\n")
+    assert captured.err == ("error: a bound of 17269 bits needs more than "
+                            "the prime ladder's 16864 bits\n")
 
 
 def test_cli_det_of_sparse_high_degree_polynomial_entries(tmp_path, capsys):

@@ -549,7 +549,7 @@ def charpoly_kaltofen(a):
     v = [sr.from_base(ring.from_int(x)) for x in kaltofen_center_vector(n)]
     seq = [v[0]]
     for _ in range(2 * n - 1):
-        v = [sr.dot(brows[i], v) for i in range(n)]
+        v = [row[0] for row in sr.matmul(brows, [[x] for x in v])]
         seq.append(v[0])
     gen = _polgenmin(sr, seq, n)
     asc = [sr.eval_at_one(c) for c in gen]
@@ -562,7 +562,9 @@ def _polgenmin(sr, seq, n):
     Extended Euclid on (X^2n, reversed sequence polynomial), remainders
     normalized monic via truncated-series inversion of their (unit)
     leading coefficients; fixed n-division schedule.  Returns the monic
-    ascending coefficient list (degree n).
+    ascending coefficient list (degree n).  The scalings and v2*q are
+    sr.product calls and the divisions sr.submul calls (in divmod_poly):
+    bivariate Kronecker products over Z/p, the literal loops elsewhere.
     """
     r1 = [seq[2 * n - 1 - k] for k in range(2 * n)]
     r0 = [sr.zero] * (2 * n) + [sr.one]
@@ -573,17 +575,15 @@ def _polgenmin(sr, seq, n):
     for _ in range(2, n + 1):
         lc = r2[-1]
         ilc = sr.inverse_of_unit(lc)
-        r2m = [sr.mul(ilc, c) for c in r2]
+        r2m = sr.product([ilc], r2)
         q, r3 = poly.divmod_poly(sr, r1, r2m)
-        v2q = poly.poly_mul(sr, v2, q, "schoolbook")
-        v3 = poly.sub(sr, [sr.mul(ill, c) for c in v1],
-                      [sr.mul(ilc, c) for c in v2q])
+        v3 = poly.sub(sr, sr.product([ill], v1), sr.product([ilc], sr.product(v2, q)))
         ill = ilc
         v1, v2 = v2, v3
         r1, r2 = r2m, r3
     lc = v2[-1]
     ilc = sr.inverse_of_unit(lc)
-    return [sr.mul(ilc, c) for c in v2]
+    return sr.product([ilc], v2)
 
 
 # ---------------------------------------------------------------------------

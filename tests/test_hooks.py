@@ -219,6 +219,133 @@ def test_series_dot_stays_literal_over_a_counted_tower():
         assert counted.stats == want
 
 
+# the series hooks Kaltofen runs: matmul split by powers of z over a base
+# with a native dot, product and submul as one bivariate Kronecker product
+# over exactly Z/p; everything else keeps the Ring default
+SERIES_BASES = ("zp:10007", "zp:998244353", "zp:2305843009213693951", "zp:7[x]/1*x^3+-1",
+                "Z", "Z[x]")
+
+
+def _series_shapes(base, order, seed):
+    """Series elements for the hook tests: dense, Krylov-shaped (two
+    nonzero z-coefficients, trailing zeros), zero, z^order alone, and
+    the widest residues where the base is Z/m."""
+    rng = Rng(seed)
+    zero, one = base.zero, base.one
+    top = base.m - 1 if isinstance(base, IntegersMod) else one
+    return {
+        "dense": lambda: tuple(base.random_element(rng) for _ in range(order + 1)),
+        "krylov": lambda: (base.random_element(rng), base.random_element(rng)) + (zero,) * (order - 1),
+        "zero": lambda: (zero,) * (order + 1),
+        "z^order": lambda: (zero,) * order + (one,),
+        "widest": lambda: (top,) * (order + 1),
+    }
+
+
+def _series_matmul_cases(base, order, seed):
+    shape = _series_shapes(base, order, seed)
+
+    def mat(rows, cols, *kinds):
+        return [[shape[kinds[(i + j) % len(kinds)]]() for j in range(cols)] for i in range(rows)]
+    yield mat(1, 1, "dense"), mat(1, 1, "dense")
+    for n in (2, 5):
+        yield mat(n, n, "krylov"), mat(n, 1, "dense")           # the Krylov step
+    yield mat(4, 1, "dense"), mat(1, 3, "dense")                # inner dimension 1
+    yield mat(3, 3, "zero"), mat(3, 2, "dense")
+    yield mat(3, 3, "krylov", "zero"), mat(3, 2, "zero")
+    yield mat(3, 3, "krylov", "z^order"), mat(3, 2, "dense")    # one entry of top degree
+    yield mat(3, 3, "widest"), mat(3, 3, "widest")
+    yield [], mat(2, 2, "dense")
+    yield mat(2, 2, "dense"), []
+    yield [[], []], []
+    yield mat(2, 3, "dense"), [[], [], []]
+
+
+def _series_lists(base, order, seed):
+    """Lists of series (polynomials in X over the series ring)."""
+    shape = _series_shapes(base, order, seed)
+    dense, zero, high = shape["dense"], shape["zero"], shape["z^order"]
+    low = lambda: (base.zero, base.one) + (base.zero,) * (order - 1)     # z * z^order = 0
+    yield from ([], [dense()], [zero()], [dense(), zero()], [zero(), dense()],
+                [dense() for _ in range(5)], [dense(), shape["krylov"](), high()],
+                [shape["widest"]() for _ in range(4)], [low()], [dense(), low()], [high()])
+
+
+@pytest.mark.parametrize("spec", SERIES_BASES)
+@pytest.mark.parametrize("order", [1, 2, 5, 9])
+def test_series_matmul_product_submul_match_literal(spec, order):
+    base = ring_from_string(spec)
+    sr = SeriesRing(base, order)
+    for seed in range(2):
+        for a, b in _series_matmul_cases(base, order, seed):
+            assert sr.matmul(a, b) == Ring.matmul(sr, a, b), (spec, a, b)
+        lists = list(_series_lists(base, order, seed))
+        for a in lists:
+            for b in lists:
+                want = Ring.product(sr, a, b)
+                assert sr.product(a, b) == want, (spec, a, b)
+                assert sr.product(a, b, 3) == Ring.product(sr, a, b, 3)
+                for c in (a[:1] or [sr.zero]):
+                    assert sr.submul(a, c, b) == Ring.submul(sr, a, c, b), (spec, a, c, b)
+    # a product that vanishes mod z^(order+1) strips to the empty polynomial
+    low = (base.zero, base.one) + (base.zero,) * (order - 1)
+    high = (base.zero,) * order + (base.one,)
+    assert sr.product([low], [high]) == [] == Ring.product(sr, [low], [high])
+    assert sr.product([high, low], [high]) == []
+
+
+def test_series_submul_fills_the_widest_slot():
+    # over Z/7 at order 6 a submul slot sums 7 products of 6*6 and the y
+    # added before unpacking: 258, past the one byte 7*36 alone needs
+    sr = SeriesRing(IntegersMod(7), 6)
+    ys, xs = [(6,) * 7, (6,) * 7], [(6,) * 7, (1,) * 7]
+    assert sr.submul(ys, (1,) * 7, xs) == Ring.submul(sr, ys, (1,) * 7, xs)
+
+
+def test_slot_format_keeps_exact_widths():
+    # struct packs only where the exact width is 1, 2, 4 or 8 bytes; the
+    # quotient rings round their widths up to those
+    assert [rings._slot_format(b) for b in (1, 255, 256, 2 ** 24 - 1, 2 ** 24, 2 ** 40,
+                                            2 ** 64 - 1, 2 ** 64)] == [
+        (1, "B"), (1, "B"), (2, "H"), (3, None), (4, "I"), (6, None), (8, "Q"), (9, None)]
+    assert [rings._struct_slots(b) for b in (255, 2 ** 24 - 1, 2 ** 40, 2 ** 64)] == [
+        (1, "B"), (4, "I"), (8, "Q"), (9, None)]
+    for m in (1009, 65537, 1048583):                # 3-, 5- and 6-byte slots
+        ring, sr = IntegersMod(m), SeriesRing(IntegersMod(m), 4)
+        a = [[(m - 1 - 3 * i * j) % m for j in range(12)] for i in range(12)]
+        assert ring.product(a[0], a[1]) == Ring.product(ring, a[0], a[1])
+        assert ring.matmul(a, a) == Ring.matmul(ring, a, a)
+        xs = [tuple(row[:5]) for row in a]
+        assert sr.product(xs, xs[:3]) == Ring.product(sr, xs, xs[:3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_zp_series_product_and_submul_match_literal(data):
+    m = data.draw(st.sampled_from(MODULI))
+    order = data.draw(st.integers(0, 20))
+    sr = SeriesRing(IntegersMod(m), order)
+    series = st.lists(st.integers(0, m - 1), min_size=order + 1, max_size=order + 1).map(tuple)
+    a = data.draw(st.lists(series, max_size=6))
+    b = data.draw(st.lists(series, max_size=6))
+    c = data.draw(series)
+    assert sr.product(a, b) == Ring.product(sr, a, b)
+    assert sr.submul(a, c, b) == Ring.submul(sr, a, c, b)
+
+
+def test_series_hooks_stay_literal_over_a_counted_tower():
+    # counted series hooks run the Ring defaults, so Kaltofen's counted
+    # stream does not depend on them
+    a, b = [[(1, 2, 0), (3, 0, 0)]], [[(4, 5, 6)], [(1, 1, 1)]]
+    xs, ys, c = [(4, 5, 6), (1, 0, 0)], [(1, 1, 1), (0, 2, 0)], (1, 2, 3)
+    calls = (("matmul", a, b), ("product", [c], xs), ("product", xs, ys), ("submul", ys, c, xs))
+    for hook, *args in calls:
+        counted, literal = CountingRing(IntegersMod(7)), CountingRing(IntegersMod(7))
+        got = getattr(SeriesRing(counted, 2), hook)(*args)
+        assert got == getattr(Ring, hook)(SeriesRing(literal, 2), *args), hook
+        assert counted.stats == literal.stats and counted.stats.muls > 0, hook
+
+
 @st.composite
 def rational_lists(draw, max_size=25):
     """Rational coefficient lists: zeros, negatives, trailing zeros and
@@ -457,6 +584,32 @@ def test_algorithms_agree_uncounted_and_counted(p):
                 poly.series_inverse(CountingRing(ring), s, 3 * n)), n
         assert (poly.divmod_poly(ring, s, s[:n + 1]) ==
                 poly.divmod_poly(CountingRing(ring), s, s[:n + 1])), n
+
+
+# counted Kaltofen, pinned to the stream of the per-row series dot and the
+# schoolbook v2*q it ran before the series hooks: OpStats, max_bits and
+# digest at n = 5, 9 and 18 (n = 18 puts v2 past the Karatsuba cutoff of
+# the Ring.product default, which v2*q must not reach)
+KALTOFEN_PINS = (
+    ("zp:10007", 5, OpStats(3553, 613, 4655, 5, 0), 14, "5bce0f2bc4497c0e"),
+    ("zp:10007", 9, OpStats(34582, 3121, 40204, 9, 0), 14, "3a29654820296402"),
+    ("zp:10007", 18, OpStats(518463, 22687, 558825, 18, 0), 14, "7a1b8b4fdfebbe21"),
+    ("Z", 5, OpStats(3553, 613, 4610, 5, 0), 46, "03d7d936e63a5898"),
+    ("Z", 9, OpStats(34402, 3121, 39871, 9, 0), 149, "28a4ad396d8d5f22"),
+    ("Z", 18, OpStats(517203, 22687, 549375, 18, 0), 575, "de12ca49c10bddbc"),
+)
+
+
+@pytest.mark.parametrize("spec, n, stats, max_bits, digest", KALTOFEN_PINS)
+def test_counted_kaltofen_is_pinned(spec, n, stats, max_bits, digest):
+    ring = ring_from_string(spec)
+    rng = Rng(100 + n)
+    draw = (lambda: rng.int_between(-9, 9)) if ring is ZZ else (lambda: rng.below(ring.m))
+    a = DenseMatrix(ring, n, n, [draw() for _ in range(n * n)])
+    counted = CountingRing(ring, track_bits=True)
+    got = charpoly.charpoly_kaltofen(a.with_ring(counted, lambda x: x))
+    assert (counted.stats, counted.max_bits, got.digest()) == (stats, max_bits, digest)
+    assert charpoly.charpoly_kaltofen(a).digest() == digest
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,14 +1,16 @@
 """Commutative rings with capability flags, plus the counting wrapper.
 
-Every ring object exposes the same small protocol:
+Every ring object exposes the same small protocol (SeriesRing only what
+Kaltofen uses):
 
     zero, one, from_int(k), add, sub, mul, neg, eq, is_zero,
     div (fields), exact_div, div_by_int, inverse_of_unit,
-    principal_root(order), spec (a RingSpec), format/parse, bit_size,
+    principal_root(order), spec (a RingSpec), format, bit_size,
     random_element(rng, ...)
 
-and five bulk hooks, which the kernels and algorithms call for their
-inner loops:
+plus parse(s) on the rings a ring spec names (Z, Q, Z/m, polynomials,
+quotients), and five bulk hooks, which the kernels and algorithms call
+for their inner loops:
 
     dot(xs, ys)            sum of xs[k]*ys[k] over the common length
     addmul(ys, c, xs)      [y + c*x for each pair]
@@ -22,8 +24,8 @@ The Ring defaults are the literal scalar loops, op for op, and they are
 all a CountingRing has, so counted op streams, max_bits and digests do
 not depend on the hooks.  IntegersMod overrides all five (sums in C, one
 reduction per dot or entry, Kronecker substitution for products and
-packed rows for matmul, in struct slots where the exact width is 1, 2,
-4 or 8 bytes); IntegerRing overrides the first four, RationalField
+packed rows for matmul, in slots of 1, 2, 4 or 8 bytes for struct, exact
+widths past 8); IntegerRing overrides the first four, RationalField
 product (one Z product of the operands with their denominators
 cleared), QuotientRing the first four and mul (one Z/p product of flat
 forms and one tabulated reduction per output element; see its
@@ -559,17 +561,14 @@ FLAT_TABLE_MAX = 1 << 18
 
 def _slot_format(bound):
     """(bytes per slot, struct code) for slots that hold 0..bound: the
-    bytes needed, and their unsigned struct code when that is 1, 2, 4 or
-    8 bytes, else None (widths are not rounded up)."""
-    width = (bound.bit_length() + 7) // 8
-    return width, (None, "B", "H", None, "I", None, None, None, "Q")[width] if width <= 8 else None
-
-
-def _struct_slots(bound):
-    """_slot_format with widths below 8 bytes rounded up to 1, 2, 4 or 8,
-    so that struct packs every slot: the quotient rings' choice, whose
-    mul over Z/101 and Z/10007 runs 1.3x faster than with exact 3- and
-    5-byte slots."""
+    bytes needed rounded up to 1, 2, 4 or 8 with their unsigned struct
+    code, or past 8 bytes the exact width and None.  struct packs the
+    wider slots faster than to_bytes packs the exact ones (in-process
+    best of 7, CPython 3.11, one pinned CPU of a 2-CPU Xeon): 12-term
+    products and 12x12 matmuls in exact 3- to 7-byte slots run 1.03-1.33x
+    faster rounded up, 64-term products over Z/10007 1.46x.  Past a few
+    hundred slots the wider bigint product costs more than struct saves:
+    1024-term products over Z/10007 run 0.80x as fast."""
     width = (bound.bit_length() + 7) // 8
     for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
         if width <= size:
@@ -1078,7 +1077,7 @@ class QuotientRing(PolynomialRing):
         else:
             lower = [base.one]
         # a flat block holds residues below 2p (addmul adds y before reducing)
-        width, code = _struct_slots(2 * self.span * (p - 1) ** 2)
+        width, code = _slot_format(2 * self.span * (p - 1) ** 2)
         zero, g = base.zero, self.modulus[:d]
         table = [0] * self.span
         for m, c in enumerate(lower):
@@ -1130,7 +1129,7 @@ class QuotientRing(PolynomialRing):
         p = self.p
         if min(len(fa), len(fb)) < KRONECKER_MIN_TERMS:
             return self.scalars.product(fa, fb)[lo:lo + count]
-        width, code = _struct_slots(min(len(fa), len(fb)) * (p - 1) ** 2)
+        width, code = _slot_format(min(len(fa), len(fb)) * (p - 1) ** 2)
         prod = (_to_slots(fa, width, code) * _to_slots(fb, width, code)) >> (8 * width * lo)
         raw = prod.to_bytes(width * max(count, len(fa) + len(fb) - lo), "little")
         return _from_slots(raw, width, code, count, p)
@@ -1336,16 +1335,6 @@ class FractionField(Ring):
         if "+" in den or "-" in den[1:] or "*" in den:
             den = "(%s)" % den
         return "%s/%s" % (num, den)
-
-    def parse(self, s):
-        if "/" in s and not s.startswith("("):
-            num, _, den = s.partition("/")
-            return self.make(self.base.parse(num), self.base.parse(den))
-        s = s.replace(" ", "")
-        m = re.match(r"^\((.*)\)/\((.*)\)$", s)
-        if m:
-            return self.make(self.base.parse(m.group(1)), self.base.parse(m.group(2)))
-        return self.make(self.base.parse(s), self.base.one)
 
     def random_element(self, rng, bound=9):
         num = self.base.random_element(rng, bound)
@@ -1577,9 +1566,6 @@ class CountingRing(Ring):
 
     def format(self, a):
         return self.inner.format(a)
-
-    def parse(self, s):
-        return self.inner.parse(s)
 
     def random_element(self, rng, **kw):
         return self.inner.random_element(rng, **kw)

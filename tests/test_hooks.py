@@ -62,7 +62,7 @@ def test_zp_product_matches_literal(case, order, square):
         assert want == poly.truncated_mul(ring, a, b, order)
 
 
-@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("m", MODULI + (65521, 4294967291))
 def test_zp_product_edge_shapes(m):
     ring = IntegersMod(m)
     dense = [(7 * k + 1) % m for k in range(30)]
@@ -156,7 +156,7 @@ def test_zp_matmul_matches_literal(case):
     assert ring.matmul(a, b) == Ring.matmul(ring, a, b)
 
 
-@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("m", MODULI + (65521, 4294967291))
 def test_zp_matmul_edge_shapes(m):
     ring = IntegersMod(m)
     top = [[m - 1] * 16 for _ in range(16)]         # the widest slot sums
@@ -302,15 +302,16 @@ def test_series_submul_fills_the_widest_slot():
     assert sr.submul(ys, (1,) * 7, xs) == Ring.submul(sr, ys, (1,) * 7, xs)
 
 
-def test_slot_format_keeps_exact_widths():
-    # struct packs only where the exact width is 1, 2, 4 or 8 bytes; the
-    # quotient rings round their widths up to those
-    assert [rings._slot_format(b) for b in (1, 255, 256, 2 ** 24 - 1, 2 ** 24, 2 ** 40,
-                                            2 ** 64 - 1, 2 ** 64)] == [
-        (1, "B"), (1, "B"), (2, "H"), (3, None), (4, "I"), (6, None), (8, "Q"), (9, None)]
-    assert [rings._struct_slots(b) for b in (255, 2 ** 24 - 1, 2 ** 40, 2 ** 64)] == [
-        (1, "B"), (4, "I"), (8, "Q"), (9, None)]
-    for m in (1009, 65537, 1048583):                # 3-, 5- and 6-byte slots
+def test_slot_format_rounds_up_to_struct_widths():
+    # every packed Z/p product packs 1-, 2-, 4- or 8-byte slots through
+    # struct, and exact widths only past 8 bytes
+    bounds = (1, 255, 256, 2 ** 16, 2 ** 24 - 1, 2 ** 24, 2 ** 32, 2 ** 40, 2 ** 56,
+              2 ** 64 - 1, 2 ** 64, 2 ** 72)
+    assert [rings._slot_format(b) for b in bounds] == [
+        (1, "B"), (1, "B"), (2, "H"), (4, "I"), (4, "I"), (4, "I"), (8, "Q"), (8, "Q"),
+        (8, "Q"), (8, "Q"), (9, None), (10, None)]
+    # 12-term products had exact 3-, 5-, 6- and 7-byte slots
+    for m in (1009, 65537, 1048583, 16777213):
         ring, sr = IntegersMod(m), SeriesRing(IntegersMod(m), 4)
         a = [[(m - 1 - 3 * i * j) % m for j in range(12)] for i in range(12)]
         assert ring.product(a[0], a[1]) == Ring.product(ring, a[0], a[1])

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactla import rings
+from exactla.charpoly import charpoly_berkowitz, charpoly_interpolation, charpoly_leverrier
 from exactla.errors import (IntegerNotInvertible, NonTriangularIdeal,
                             NotDivisible, Unsupported, ZeroDivisor)
 from exactla.matrix import DenseMatrix
 from exactla.multipoly import to_dict
 from exactla.elimination import gauss_lu
-from exactla.poly import strip
+from exactla.pinv import rational_function_field
+from exactla.poly import dft_mul, schoolbook_mul, strip
 from exactla.rings import (QQ, ZZ, CountingRing, FractionField, IntegersMod,
                            MultiPolynomialRing, OpStats, PolynomialRing, QuotientRing, RingSpec,
                            ring_from_string, quotient_reduce, with_counting)
@@ -257,6 +259,40 @@ def test_fraction_field_normalization():
     v = fx.make(num, den)
     # denominator monic, gcd cleared
     assert v[1][-1] == Fraction(1)
+
+
+def test_fraction_field_members_on_a_charpoly_over_k_of_t():
+    # pinv's K(t): Le Verrier and interpolation reach from_int and
+    # div_by_int, a bit-tracking CountingRing bit_size, and the digest format
+    kt = rational_function_field(QQ)
+    t = kt.from_base((Fraction(0), Fraction(1)))
+    assert kt.from_int(3) == ((Fraction(3),), (Fraction(1),))
+    assert kt.div_by_int(t, 2) == ((Fraction(0), Fraction(1, 2)), (Fraction(1),))
+    with pytest.raises(IntegerNotInvertible):
+        kt.div_by_int(t, 0)
+    a = DenseMatrix.from_rows(kt, [[t, kt.one, kt.from_int(2)],
+                                   [kt.div(kt.one, t), kt.from_int(-1), t],
+                                   [kt.one, kt.div_by_int(t, 3), kt.zero]])
+    want = charpoly_berkowitz(a)
+    assert charpoly_interpolation(a).coeffs == want.coeffs
+    counted = CountingRing(kt, track_bits=True)
+    assert charpoly_leverrier(a.with_ring(counted, lambda x: x)).coeffs == want.coeffs
+    assert counted.max_bits == 4 == max(kt.bit_size(c) for c in want.coeffs)
+    assert [kt.format(c) for c in want.coeffs] == [
+        "-1", "1*t^1-1", "(1/3*t^3+1*t^2+2*t^1+1)/(1*t^1)", "-1/3*t^3+1*t^1+8/3"]
+
+
+def test_counting_ring_passes_bit_size_and_principal_root_through():
+    # a bit-tracking wrapper over a counted ring sizes through the inner
+    # wrapper's bit_size; a counted DFT product asks for its root
+    outer = CountingRing(CountingRing(ZZ), track_bits=True)
+    assert outer.mul(3, -5) == -15 and outer.max_bits == 4
+    assert outer.inner.stats == OpStats(muls=1)
+    ring = IntegersMod(12289)
+    counted = CountingRing(ring)
+    a, b = [1, 2, 3, 4, 5], [6, 7, 8]
+    assert counted.principal_root(8) == ring.principal_root(8)
+    assert dft_mul(counted, a, b) == schoolbook_mul(ring, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,10 @@ widths past 8); IntegerRing overrides the first four, RationalField
 product (one Z product of the operands with their denominators
 cleared), QuotientRing the first four and mul (one Z/p product of flat
 forms and one tabulated reduction per output element; see its
-docstring).  SeriesRing overrides dot over any base without a
-CountingRing in its tower (addmul over the nonzero coefficients), matmul
-over Z/p, Z and flat quotients (one base matmul, split by powers of z),
-and product and submul over exactly IntegersMod (one bivariate Kronecker
-product).
+docstring).  SeriesRing overrides matmul over Z/p, Z and flat quotients
+(one base matmul, split by powers of z), and product and submul over
+exactly IntegersMod (one bivariate Kronecker product), chosen by the
+type of its base alone: none of those bases is or holds a CountingRing.
 PolynomialRing add and sub run the literal base ops of poly.add and
 poly.sub without the list round-trips.
 
@@ -791,6 +790,8 @@ class PolynomialRing(Ring):
             if self.base.is_zero(c):
                 continue
             cs = self.base.format(c)
+            if k and _is_sum(cs):
+                cs = "(%s)" % cs
             parts.append(cs if k == 0 else "%s*%s^%d" % (cs, self.var, k))
         return _join_terms(parts) if parts else "0"
 
@@ -852,6 +853,17 @@ def _literal_int(digits):
 def _join_terms(parts):
     """'a+b-c' from the terms ['a', 'b', '-c']."""
     return parts[0] + "".join(t if t.startswith("-") else "+" + t for t in parts[1:])
+
+
+def _is_sum(text):
+    """Whether text has a + or - outside parentheses after its first
+    character."""
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if i and not depth and ch in "+-":
+            return True
+    return False
 
 
 def _gcd_int_poly(a, b):
@@ -1352,10 +1364,10 @@ class SeriesRing(Ring):
     order+1).
 
     Kaltofen's is the only caller, so the ring has only what it uses.
-    Its native hooks run only where no CountingRing is in the base tower
-    (walked through .base), so counted streams do not move: dot over any
-    base, matmul over a base with a native dot (Z/p, Z, flat quotients),
-    product and submul over exactly IntegersMod."""
+    Its native hooks are chosen by the base's type: matmul over Z/p, Z
+    and flat quotients, product and submul over exactly IntegersMod.
+    None of these is or holds a CountingRing, so counted streams do not
+    move."""
 
     def __init__(self, base, order, var="z"):
         self.base = base
@@ -1363,14 +1375,8 @@ class SeriesRing(Ring):
         self.name = "%s[%s]/<%s^%d>" % (base.name, var, var, order + 1)
         self.zero = (base.zero,) * (order + 1)
         self.one = (base.one,) + (base.zero,) * order
-        ring = base
-        while ring is not None and not isinstance(ring, CountingRing):
-            ring = getattr(ring, "base", None)
-        self._counted = ring is not None
-        # the bases of the native matmul (those with a native dot) and of
-        # product/submul hold no CountingRing; over Z[x] or a fraction
-        # field the products by the zeros of a split matmul cost full ring
-        # ops, so those keep the per-row dot
+        # over Z[x] or a fraction field the products by the zeros of a
+        # split matmul cost full ring ops, so those keep the Ring default
         self._split = (type(base) in (IntegersMod, IntegerRing)
                        or getattr(base, "_table", None) is not None)
         self._zp = type(base) is IntegersMod
@@ -1391,19 +1397,6 @@ class SeriesRing(Ring):
 
     def mul(self, a, b):
         return tuple(self.base.product(a, b, self.order))
-
-    def dot(self, xs, ys):
-        """One accumulator and one base addmul per nonzero coefficient of
-        each x, instead of a series product and a sum per pair."""
-        if self._counted:
-            return Ring.dot(self, xs, ys)
-        addmul, zero = self.base.addmul, self.base.zero
-        acc = list(self.zero)
-        for x, y in zip(xs, ys):
-            for j, c in enumerate(x):
-                if c != zero:
-                    acc[j:] = addmul(acc[j:], c, y)     # zip stops at acc's end
-        return tuple(acc)
 
     def matmul(self, a_rows, b_rows):
         """Split by powers of z: with d the largest z-degree in a, the

@@ -272,3 +272,15 @@ def test_cli_det_of_sparse_high_degree_rational_polynomial_entries(tmp_path, cap
     path.write_text("2 2 Q[x]\n1*x^4096+1 1*x^4096+-1\n1*x^4095+1 1*x^4096+2\n")
     assert main(["det", "--in", str(path)]) == 0
     assert capsys.readouterr().out == "1*x^8192-1*x^8191+2*x^4096+1*x^4095+3\n"
+
+
+def test_cli_charpoly_parenthesizes_sum_coefficients(tmp_path, capsys):
+    # X^2 - (x+1)X + x over Z[x]: a coefficient that is a sum is put in
+    # parentheses where it multiplies a power of X
+    path = tmp_path / "zx.txt"
+    path.write_text("2 2 Z[x]\n1*x^1 1\n0 1\n")
+    for algo in ("berkowitz", "kaltofen"):
+        assert main(["charpoly", "--algo", algo, "--in", str(path)]) == 0
+        assert capsys.readouterr().out == "1*X^2+(-1*x^1-1)*X^1+1*x^1\n", algo
+    assert main(["det", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "1*x^1\n"

@@ -14,6 +14,7 @@ from exactla import multipoly as mp
 from exactla.elimination import det_field, gauss_lu
 from exactla.errors import NotApplicable
 from exactla.matrix import DenseMatrix
+from exactla.pinv import rational_function_field
 from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod, OpStats, PolynomialRing,
                            Ring, SeriesRing, ring_from_string)
 from exactla.rng import Rng
@@ -168,44 +169,12 @@ def test_zp_matmul_edge_shapes(m):
         assert ring.matmul(a, b) == Ring.matmul(ring, a, b)
 
 
-def _series_operands(base, order, seed):
-    """Krylov-style operands (constant and z terms only), dense ones and
-    mixed ones, each k in 0..3 long."""
-    rng = Rng(seed)
-    zero = base.zero
-
-    def element():
-        return base.random_element(rng)
-
-    def two_term():
-        return (element(), element()) + (zero,) * (order - 1)
-
-    def dense():
-        return tuple(element() for _ in range(order + 1))
-
-    for k in range(4):
-        yield [two_term() for _ in range(k)], [dense() for _ in range(k)]
-        yield [dense() for _ in range(k)], [dense() for _ in range(k)]
-        yield [(zero,) * (order + 1)] * k, [dense() for _ in range(k)]
-        yield [dense() for _ in range(k)], [two_term() for _ in range(k)]
-
-
-@pytest.mark.parametrize("spec", ["zp:10007", "zp:7", "Z", "Z[x]", "zp:7[x]/1*x^3+-1"])
-@pytest.mark.parametrize("order", [1, 2, 5])
-def test_series_dot_matches_literal(spec, order):
-    base = ring_from_string(spec)
-    sr = SeriesRing(base, order)
-    for seed in range(4):
-        for xs, ys in _series_operands(base, order, seed):
-            assert sr.dot(xs, ys) == Ring.dot(sr, xs, ys), (spec, xs, ys)
-
-
-def test_series_dot_stays_literal_over_a_counted_tower():
+def test_series_dot_counts_the_literal_stream_over_a_counted_tower():
     # a CountingRing directly under the series ring, and one under Z[x]
     # (bench group 4 counts Z inside Z[x]): both count the literal stream.
-    # In the second case the z^1 terms of the second product cancel, which
-    # the literal stream sums on their own and a per-term accumulator
-    # would add into the first product one by one (4 adds, not 2).
+    # In the second case the z^1 terms of the second product cancel inside
+    # its series mul (2 adds), and adding the two products costs no base
+    # add: no z-coefficient is nonzero in both.
     cases = ((CountingRing(IntegersMod(7)), [(1, 2, 0), (3, 0, 0)], [(4, 5, 6), (1, 1, 1)],
               OpStats(adds=5, muls=8)),
              (PolynomialRing(CountingRing(ZZ)), [((1,), (), ()), ((1,), (1,), ())],
@@ -611,6 +580,32 @@ def test_counted_kaltofen_is_pinned(spec, n, stats, max_bits, digest):
     got = charpoly.charpoly_kaltofen(a.with_ring(counted, lambda x: x))
     assert (counted.stats, counted.max_bits, got.digest()) == (stats, max_bits, digest)
     assert charpoly.charpoly_kaltofen(a).digest() == digest
+
+
+def _kaltofen_literal_matrix(base, n, seed):
+    if base == "group-2 Z[x,y]":
+        return bench.generate_matrix(bench.BenchCase(2, n, seed))
+    rng = Rng(seed)
+    if base == "K(t)":      # quotients of polynomials of degree 1 over Q
+        kt = rational_function_field(QQ)
+        qt = kt.base
+        entries = [kt.make(qt.random_element(rng, 1), qt.random_element(rng, 1) or qt.one)
+                   for _ in range(n * n)]
+        return DenseMatrix(kt, n, n, entries)
+    ring = ring_from_string(base)
+    return DenseMatrix(ring, n, n, [ring.random_element(rng) for _ in range(n * n)])
+
+
+# the bases whose Krylov step runs the Ring matmul default (one Ring.dot
+# per entry) and whose series products run the truncated_mul default;
+# Kaltofen over K(t) normalizes every series coefficient, so it stays small
+@pytest.mark.parametrize("base, n", [("zp:7[x]", 3), ("zp:7[x]", 5), ("Q", 3), ("Q", 6),
+                                     ("K(t)", 2), ("group-2 Z[x,y]", 3)])
+def test_kaltofen_agrees_with_berkowitz_over_the_literal_series_bases(base, n):
+    for seed in (1, 2, 3):
+        a = _kaltofen_literal_matrix(base, n, seed)
+        got = charpoly.charpoly_kaltofen(a).coeffs
+        assert got == charpoly.charpoly_berkowitz(a).coeffs, (base, n, seed)
 
 
 @pytest.mark.parametrize("p", PRIMES)

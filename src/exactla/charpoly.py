@@ -85,32 +85,37 @@ def charpoly_berkowitz(a, sparse_aware=False):
     if sparse_aware:
         nz = [[] for _ in range(n)]
     for r in range(2, n + 1):
+        m = r - 1
+        s = [rows[i][m] for i in range(m)]
         if sparse_aware:
             for i in range(n):
-                if not ring.is_zero(rows[i][r - 2]):
-                    nz[i].append(r - 2)
-        s = [rows[i][r - 1] for i in range(r - 1)]
-        c = [None] * (r + 2)
-        c[1] = neg_one
-        c[2] = rows[r - 1][r - 1]
-        for i in range(1, r - 1):
-            c[i + 2] = _dot_row(ring, rows[r - 1], s,
-                                nz[r - 1] if sparse_aware else None)
-            s = [_dot_row(ring, rows[j], s, nz[j] if sparse_aware else None)
-                 for j in range(r - 1)]
-        c[r + 1] = _dot_row(ring, rows[r - 1], s,
-                            nz[r - 1] if sparse_aware else None)
+                if not ring.is_zero(rows[i][m - 1]):
+                    nz[i].append(m - 1)
+            iterates = _support_krylov(ring, rows, nz, s, m - 1)
+            tail = [_dot_row(ring, rows[m], x, nz[m]) for x in iterates]
+        else:
+            iterates = ring.krylov([row[:m] for row in rows[:m]], s, m - 1)
+            tail = [ring.dot(rows[m], x) for x in iterates]
+        c = [None, neg_one, rows[m][m]] + tail
         # Toeplitz times vector: entry i is the sum of c[i+1-j]*v[j-1], j = 1..min(r, i)
         v = [ring.dot(c[i:max(i - r, 0):-1], v) for i in range(1, r + 2)]
     return CharPoly(ring, v)
 
 
+def _support_krylov(ring, rows, nz, v, k):
+    """ring.krylov on the leading len(v) x len(v) block of rows, each row
+    dotted with v over its support nz[j] only."""
+    out = [v]
+    for _ in range(k):
+        v = [_dot_row(ring, rows[j], v, nz[j]) for j in range(len(v))]
+        out.append(v)
+    return out
+
+
 def _dot_row(ring, row, s, support):
-    """row . s over the first len(s) columns; with a support (ascending
-    column indices), only over the columns in it.  The support loop stays
-    scalar: its rows hold a few nonzeros, too few to pay for a bulk call."""
-    if support is None:
-        return ring.dot(row, s)
+    """row . s over the columns of a support (ascending column indices)
+    below len(s).  The loop stays scalar: a sparse row holds a few
+    nonzeros, too few to pay for a bulk call."""
     acc = None
     for k in support:
         if k >= len(s):
@@ -138,12 +143,11 @@ def chistov_diagonal_series(a, sparse_aware=False):
     for r in range(1, n + 1):
         v = [ring.zero] * r
         v[r - 1] = ring.one
-        coeffs = [ring.one]
-        for _ in range(n):
-            v = [_dot_row(ring, rows[j], v, nz[j] if sparse_aware else None)
-                 for j in range(r)]
-            coeffs.append(v[r - 1])
-        out.append(coeffs)
+        if sparse_aware:
+            iterates = _support_krylov(ring, rows, nz, v, n)
+        else:
+            iterates = ring.krylov([row[:r] for row in rows[:r]], v, n)
+        out.append([w[r - 1] for w in iterates])
     return out
 
 
@@ -443,15 +447,8 @@ def _frobenius_simple(a):
     ring = a.ring
     n = a.rows
     rows = a.to_rows()
-    w = [[ring.zero] * (n + 1) for _ in range(n)]
-    w[0][0] = ring.one
-    v = [rows[i][0] for i in range(n)]
-    for i in range(n):
-        w[i][1] = v[i]
-    for k in range(2, n + 1):
-        v = [ring.dot(rows[i], v) for i in range(n)]
-        for i in range(n):
-            w[i][k] = v[i]
+    e1 = [ring.one] + [ring.zero] * (n - 1)
+    w = [list(row) for row in zip(e1, *ring.krylov(rows, [row[0] for row in rows], n - 1))]
     return _from_monic_tail(ring, _jorbarsol_rows(ring, w, skip_first_pivot=True), n)
 
 
@@ -547,10 +544,7 @@ def charpoly_kaltofen(a):
             row.append((c, f) + (ring.zero,) * (n - 1))
         brows.append(row)
     v = [sr.from_base(ring.from_int(x)) for x in kaltofen_center_vector(n)]
-    seq = [v[0]]
-    for _ in range(2 * n - 1):
-        v = [row[0] for row in sr.matmul(brows, [[x] for x in v])]
-        seq.append(v[0])
+    seq = [w[0] for w in sr.krylov(brows, v, 2 * n - 1)]
     gen = _polgenmin(sr, seq, n)
     asc = [sr.eval_at_one(c) for c in gen]
     return _sign_normalize(ring, asc, n)

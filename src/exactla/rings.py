@@ -9,7 +9,7 @@ Kaltofen uses):
     random_element(rng, ...)
 
 plus parse(s) on the rings a ring spec names (Z, Q, Z/m, polynomials,
-quotients), and five bulk hooks, which the kernels and algorithms call
+quotients), and six bulk hooks, which the kernels and algorithms call
 for their inner loops:
 
     dot(xs, ys)            sum of xs[k]*ys[k] over the common length
@@ -19,20 +19,23 @@ for their inner loops:
                            the series product mod z^(order+1)
     matmul(a_rows, b_rows) matrix product of two lists of rows, one dot
                            per entry
+    krylov(a_rows, v, k)   [v, Av, ..., A^k v] for a square A of side
+                           len(v), one dot per entry and step
 
 The Ring defaults are the literal scalar loops, op for op, and they are
 all a CountingRing has, so counted op streams, max_bits and digests do
-not depend on the hooks.  IntegersMod overrides all five (sums in C, one
-reduction per dot or entry, Kronecker substitution for products and
-packed rows for matmul, in slots of 1, 2, 4 or 8 bytes for struct, exact
-widths past 8); IntegerRing overrides the first four, RationalField
-product (one Z product of the operands with their denominators
-cleared), QuotientRing the first four and mul (one Z/p product of flat
-forms and one tabulated reduction per output element; see its
-docstring).  SeriesRing overrides matmul over Z/p, Z and flat quotients
-(one base matmul, split by powers of z), and product and submul over
-exactly IntegersMod (one bivariate Kronecker product), chosen by the
-type of its base alone: none of those bases is or holds a CountingRing.
+not depend on the hooks.  IntegersMod overrides all six (sums in C, one
+reduction per dot or entry, Kronecker substitution for products, packed
+rows for matmul and the columns of A packed once for krylov, in slots of
+1, 2, 4 or 8 bytes for struct, exact widths past 8); IntegerRing
+overrides the first four, RationalField product (one Z product of the
+operands with their denominators cleared), QuotientRing the first four
+and mul (one Z/p product of flat forms and one tabulated reduction per
+output element; see its docstring).  SeriesRing overrides krylov over
+Z/p, Z and flat quotients (A split by powers of z once, one base matmul
+per step), and product and submul over exactly IntegersMod (one
+bivariate Kronecker product), chosen by the type of its base alone:
+none of those bases is or holds a CountingRing.
 PolynomialRing add and sub run the literal base ops of poly.add and
 poly.sub without the list round-trips.
 
@@ -172,6 +175,14 @@ class Ring:
         dot = self.dot
         cols = list(zip(*b_rows))
         return [[dot(row, col) for col in cols] for row in a_rows]
+
+    def krylov(self, a_rows, v, k):
+        dot = self.dot
+        out = [v]
+        for _ in range(k):
+            v = [dot(row, v) for row in a_rows]
+            out.append(v)
+        return out
 
     def pow(self, a, k):
         acc = self.one
@@ -485,6 +496,19 @@ class IntegersMod(Ring):
         return [_from_slots(sum(map(_mul, [x % m for x in row], packed)).to_bytes(size, "little"),
                             width, code, cols, m)
                 for row in a_rows]
+
+    def krylov(self, a_rows, v, k):
+        """v reduced once and each column of a packed once, in slots wide
+        enough for any entry of a product; each step is then one sum of
+        (entry of v) * (packed column of a), unpacked and reduced."""
+        m, n = self.m, len(v)
+        width, code = _slot_format(n * (m - 1) ** 2)
+        cols = [_residue_slots(col, m, width, code) for col in zip(*a_rows)]
+        out, v = [v], [x % m for x in v]
+        for _ in range(k):
+            v = _from_slots(sum(map(_mul, v, cols)).to_bytes(width * n, "little"), width, code, n, m)
+            out.append(v)
+        return out
 
     def div(self, a, b):
         if b % self.m == 0:
@@ -1349,9 +1373,9 @@ class FractionField(Ring):
         return "%s/%s" % (num, den)
 
     def random_element(self, rng, bound=9):
-        num = self.base.random_element(rng, bound)
+        num = self.base.random_element(rng, bound=bound)
         while True:
-            den = self.base.random_element(rng, bound)
+            den = self.base.random_element(rng, bound=bound)
             if not self.base.is_zero(den):
                 return self.make(num, den)
 
@@ -1364,7 +1388,7 @@ class SeriesRing(Ring):
     order+1).
 
     Kaltofen's is the only caller, so the ring has only what it uses.
-    Its native hooks are chosen by the base's type: matmul over Z/p, Z
+    Its native hooks are chosen by the base's type: krylov over Z/p, Z
     and flat quotients, product and submul over exactly IntegersMod.
     None of these is or holds a CountingRing, so counted streams do not
     move."""
@@ -1376,7 +1400,7 @@ class SeriesRing(Ring):
         self.zero = (base.zero,) * (order + 1)
         self.one = (base.one,) + (base.zero,) * order
         # over Z[x] or a fraction field the products by the zeros of a
-        # split matmul cost full ring ops, so those keep the Ring default
+        # split krylov cost full ring ops, so those keep the Ring default
         self._split = (type(base) in (IntegersMod, IntegerRing)
                        or getattr(base, "_table", None) is not None)
         self._zp = type(base) is IntegersMod
@@ -1398,30 +1422,27 @@ class SeriesRing(Ring):
     def mul(self, a, b):
         return tuple(self.base.product(a, b, self.order))
 
-    def matmul(self, a_rows, b_rows):
-        """Split by powers of z: with d the largest z-degree in a, the
-        base matrices [A_0 | ... | A_d] side by side times the
-        coefficient matrices of b shifted by z^0..z^d stacked below each
-        other, one base.matmul (d = 1 for Kaltofen's C + z(A - C))."""
-        if not self._split or not a_rows or not b_rows:
-            return Ring.matmul(self, a_rows, b_rows)
+    def krylov(self, a_rows, v, k):
+        """Split by powers of z, once for all k steps: with d the largest
+        z-degree in a, the base matrix [A_0 | ... | A_d] times, at each
+        step, the coefficient vectors of v shifted by z^0..z^d stacked
+        below each other, one base.matmul (d = 1 for Kaltofen's
+        C + z(A - C))."""
+        if not self._split or not v:
+            return Ring.krylov(self, a_rows, v, k)
         zero, n = self.zero, self.order + 1
         d = 0
         for row in a_rows:
             for x in row:
                 while d < self.order and x[d + 1:] != zero[d + 1:]:
                     d += 1
-        left = [[x[k] for k in range(d + 1) for x in row] for row in a_rows]
-        right = []
-        for k in range(d + 1):
-            for row in b_rows:
-                shifted = []
-                for y in row:
-                    shifted += zero[:k]
-                    shifted += y[:n - k]
-                right.append(shifted)
-        return [[tuple(r[i:i + n]) for i in range(0, len(r), n)]
-                for r in self.base.matmul(left, right)]
+        left = [[x[j] for j in range(d + 1) for x in row] for row in a_rows]
+        out = [v]
+        for _ in range(k):
+            right = [zero[:j] + y[:n - j] for j in range(d + 1) for y in v]
+            v = [tuple(r) for r in self.base.matmul(left, right)]
+            out.append(v)
+        return out
 
     def product(self, a, b, order=None):
         """Over exactly IntegersMod, untruncated: one _kron, stripped."""

@@ -3,7 +3,8 @@ the Hankel-system minimal polynomial, and probabilistic Wiedemann."""
 
 from . import poly
 from .elimination import EchelonBasis
-from .errors import RetriesExhausted, SingularHankelSystem, ZeroSequence
+from .errors import (DimensionMismatch, RetriesExhausted, SingularHankelSystem,
+                     ZeroSequence)
 from .rng import Rng
 
 
@@ -82,18 +83,16 @@ def wiedemann_minpoly(a, seed, retries=4, degree_target=None):
     it can raise without a target too: on the 1x1 zero matrix over Z/2,
     each try samples zero with probability 3/4.
     """
+    if a.rows != a.cols:
+        raise DimensionMismatch("Wiedemann needs a square matrix, not %dx%d" % (a.rows, a.cols))
     ring = a.ring
     n = a.rows
+    rows = a.to_rows()
     rng = Rng(seed)
     for _ in range(max(1, retries)):
         u = [ring.random_element(rng) for _ in range(n)]
         v = [ring.random_element(rng) for _ in range(n)]
-        terms = []
-        w = list(v)
-        for k in range(2 * n):
-            terms.append(ring.dot(u, w))
-            if k < 2 * n - 1:
-                w = a.apply(w)
+        terms = [ring.dot(u, w) for w in ring.krylov(rows, v, 2 * n - 1)]
         try:
             gen = berlekamp_massey(ring, terms, n)
         except ZeroSequence:

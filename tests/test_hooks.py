@@ -169,6 +169,45 @@ def test_zp_matmul_edge_shapes(m):
         assert ring.matmul(a, b) == Ring.matmul(ring, a, b)
 
 
+@st.composite
+def zp_krylov_cases(draw):
+    """(ring, a, v, k): a square of side len(v), k from 0 to 2*len(v),
+    sometimes all zero, sometimes with entries outside [0, m)."""
+    m = draw(st.sampled_from(MODULI + (7, 65521)))
+    n = draw(st.sampled_from((1, 2, 5, 8, 13)))
+    value = draw(st.sampled_from((st.just(0), st.integers(0, m - 1),
+                                  st.integers(-3 * m, 3 * m))))
+    a = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=n, max_size=n))
+    v = draw(st.lists(value, min_size=n, max_size=n))
+    return IntegersMod(m), a, v, draw(st.integers(0, 2 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zp_krylov_cases())
+def test_zp_krylov_matches_literal(case):
+    ring, a, v, k = case
+    assert ring.krylov(a, v, k) == Ring.krylov(ring, a, v, k)
+
+
+# (modulus, side, bytes per slot of the packed columns): every slot
+# width, Z/2 and a composite modulus
+@pytest.mark.parametrize("m, n, width", [(7, 5, 1), (7, 9, 2), (10007, 12, 4), (65521, 3, 8),
+                                         (998244353, 16, 8), ((1 << 61) - 1, 6, 16),
+                                         (2, 4, 1), (12, 7, 2)])
+def test_zp_krylov_edge_shapes(m, n, width):
+    assert rings._slot_format(n * (m - 1) ** 2)[0] == width
+    ring = IntegersMod(m)
+    top = [[m - 1] * n for _ in range(n)]           # the widest slot sums
+    zero = [[0] * n for _ in range(n)]
+    ramp = [[(7 * i + j) * m - i for j in range(n)] for i in range(n)]
+    e1 = [1] + [0] * (n - 1)
+    cases = [([[m - 1]], [m - 1], 0), ([[m - 1]], [m - 1], 4), ([[5 * m + 1]], [-1], 3),
+             (top, e1, 0), (top, [m - 1] * n, 2 * n), (zero, [1] * n, 3), (top, [0] * n, 3),
+             (ramp, [-m - 1] * n, n), (ramp, e1, 2 * n - 1)]
+    for a, v, k in cases:
+        assert ring.krylov(a, v, k) == Ring.krylov(ring, a, v, k), (a, v, k)
+
+
 def test_series_dot_counts_the_literal_stream_over_a_counted_tower():
     # a CountingRing directly under the series ring, and one under Z[x]
     # (bench group 4 counts Z inside Z[x]): both count the literal stream.
@@ -188,9 +227,10 @@ def test_series_dot_counts_the_literal_stream_over_a_counted_tower():
         assert counted.stats == want
 
 
-# the series hooks Kaltofen runs: matmul split by powers of z over a base
+# the series hooks Kaltofen runs: krylov split by powers of z over a base
 # with a native dot, product and submul as one bivariate Kronecker product
-# over exactly Z/p; everything else keeps the Ring default
+# over exactly Z/p; everything else keeps the Ring default (the test name
+# is older than krylov, which replaced the series matmul)
 SERIES_BASES = ("zp:10007", "zp:998244353", "zp:2305843009213693951", "zp:7[x]/1*x^3+-1",
                 "Z", "Z[x]")
 
@@ -211,23 +251,24 @@ def _series_shapes(base, order, seed):
     }
 
 
-def _series_matmul_cases(base, order, seed):
+def _series_krylov_cases(base, order, seed):
+    """(a, v, k) for krylov: a square of side len(v)."""
     shape = _series_shapes(base, order, seed)
 
-    def mat(rows, cols, *kinds):
-        return [[shape[kinds[(i + j) % len(kinds)]]() for j in range(cols)] for i in range(rows)]
-    yield mat(1, 1, "dense"), mat(1, 1, "dense")
+    def mat(n, *kinds):
+        return [[shape[kinds[(i + j) % len(kinds)]]() for j in range(n)] for i in range(n)]
+
+    def vec(n, kind):
+        return [shape[kind]() for _ in range(n)]
+    yield mat(1, "dense"), vec(1, "dense"), 3
     for n in (2, 5):
-        yield mat(n, n, "krylov"), mat(n, 1, "dense")           # the Krylov step
-    yield mat(4, 1, "dense"), mat(1, 3, "dense")                # inner dimension 1
-    yield mat(3, 3, "zero"), mat(3, 2, "dense")
-    yield mat(3, 3, "krylov", "zero"), mat(3, 2, "zero")
-    yield mat(3, 3, "krylov", "z^order"), mat(3, 2, "dense")    # one entry of top degree
-    yield mat(3, 3, "widest"), mat(3, 3, "widest")
-    yield [], mat(2, 2, "dense")
-    yield mat(2, 2, "dense"), []
-    yield [[], []], []
-    yield mat(2, 3, "dense"), [[], [], []]
+        yield mat(n, "krylov"), vec(n, "dense"), 2 * n - 1    # Kaltofen's sequence
+    yield mat(3, "zero"), vec(3, "dense"), 2
+    yield mat(3, "krylov", "zero"), vec(3, "zero"), 2
+    yield mat(3, "krylov", "z^order"), vec(3, "dense"), 3    # one entry of top degree
+    yield mat(3, "widest"), vec(3, "widest"), 2
+    yield mat(2, "dense"), vec(2, "dense"), 0
+    yield [], [], 2
 
 
 def _series_lists(base, order, seed):
@@ -246,8 +287,8 @@ def test_series_matmul_product_submul_match_literal(spec, order):
     base = ring_from_string(spec)
     sr = SeriesRing(base, order)
     for seed in range(2):
-        for a, b in _series_matmul_cases(base, order, seed):
-            assert sr.matmul(a, b) == Ring.matmul(sr, a, b), (spec, a, b)
+        for a, v, k in _series_krylov_cases(base, order, seed):
+            assert sr.krylov(a, v, k) == Ring.krylov(sr, a, v, k), (spec, a, v, k)
         lists = list(_series_lists(base, order, seed))
         for a in lists:
             for b in lists:
@@ -306,9 +347,10 @@ def test_zp_series_product_and_submul_match_literal(data):
 def test_series_hooks_stay_literal_over_a_counted_tower():
     # counted series hooks run the Ring defaults, so Kaltofen's counted
     # stream does not depend on them
-    a, b = [[(1, 2, 0), (3, 0, 0)]], [[(4, 5, 6)], [(1, 1, 1)]]
+    a = [[(1, 2, 0), (3, 0, 0)], [(0, 1, 0), (2, 2, 0)]]
     xs, ys, c = [(4, 5, 6), (1, 0, 0)], [(1, 1, 1), (0, 2, 0)], (1, 2, 3)
-    calls = (("matmul", a, b), ("product", [c], xs), ("product", xs, ys), ("submul", ys, c, xs))
+    calls = (("krylov", a, xs, 3), ("product", [c], xs), ("product", xs, ys),
+             ("submul", ys, c, xs))
     for hook, *args in calls:
         counted, literal = CountingRing(IntegersMod(7)), CountingRing(IntegersMod(7))
         got = getattr(SeriesRing(counted, 2), hook)(*args)
@@ -343,7 +385,7 @@ def test_rational_product_matches_literal(a, b, order, square):
 def test_counting_ring_takes_the_literal_defaults():
     for inner in (IntegersMod(10007), ZZ):
         counted = CountingRing(inner)
-        for hook in ("dot", "addmul", "submul", "product", "matmul"):
+        for hook in ("dot", "addmul", "submul", "product", "matmul", "krylov"):
             assert getattr(type(counted), hook) is getattr(Ring, hook)
         assert counted.dot([1, 2, 3], [4, 5, 6]) == 32
         assert (counted.stats.muls, counted.stats.adds) == (3, 2)
@@ -582,6 +624,47 @@ def test_counted_kaltofen_is_pinned(spec, n, stats, max_bits, digest):
     assert charpoly.charpoly_kaltofen(a).digest() == digest
 
 
+# counted Krylov loops, pinned to the per-row dots they ran before the
+# krylov hook: OpStats and max_bits (the dense loops on random matrices,
+# the sparse-aware ones on a group-5 bench matrix), and each result
+KRYLOV_ALGOS = {
+    "berkowitz": lambda a: charpoly.charpoly_berkowitz(a).digest(),
+    "berkowitz_sparse": lambda a: charpoly.charpoly_berkowitz(a, sparse_aware=True).digest(),
+    "chistov": lambda a: charpoly.charpoly_chistov(a).digest(),
+    "chistov_sparse": lambda a: charpoly.charpoly_chistov(a, sparse_aware=True).digest(),
+    "frobenius_simple": lambda a: charpoly._frobenius_simple(a).digest(),
+    "wiedemann": lambda a: sequences.wiedemann_minpoly(a, 5),
+}
+KRYLOV_PINS = (
+    ("berkowitz", "zp:10007", 9, OpStats(1248, 0, 1504, 0, 0), 14, "5632f1e9ffffecf8"),
+    ("berkowitz", "Z", 9, OpStats(1248, 0, 1504, 0, 0), 34, "6b8332a1784ad42a"),
+    ("berkowitz_sparse", "group5", 14, OpStats(1060, 0, 1733, 0, 0), 82, "cde2f5e0ebb7b607"),
+    ("chistov", "zp:10007", 5, OpStats(324, 0, 443, 1, 0), 14, "6d3f135a55dce3ef"),
+    ("chistov", "Z", 9, OpStats(2774, 0, 3301, 1, 0), 49, "6b8332a1784ad42a"),
+    ("chistov_sparse", "group5", 14, OpStats(2769, 0, 3955, 1, 0), 118, "cde2f5e0ebb7b607"),
+    ("frobenius_simple", "zp:10007", 9, OpStats(576, 204, 1020, 0, 176), 14,
+     "5632f1e9ffffecf8"),
+    ("frobenius_simple", "Z", 5, OpStats(80, 30, 150, 0, 24), 47, "a99bbbe80948420e"),
+    ("wiedemann", "zp:10007", 9, OpStats(1404, 387, 1972, 19, 0), 14,
+     [8660, 9807, 2644, 1057, 3868, 4073, 8857, 1583, 9054, 1]),
+)
+
+
+@pytest.mark.parametrize("algo, spec, n, stats, max_bits, result", KRYLOV_PINS)
+def test_counted_krylov_loops_are_pinned(algo, spec, n, stats, max_bits, result):
+    if spec == "group5":
+        a = bench.generate_matrix(bench.BenchCase(5, n, 3))
+    else:
+        ring = ring_from_string(spec)
+        rng = Rng(200 + n)
+        draw = (lambda: rng.int_between(-9, 9)) if ring is ZZ else (lambda: rng.below(ring.m))
+        a = DenseMatrix(ring, n, n, [draw() for _ in range(n * n)])
+    counted = CountingRing(a.ring, track_bits=True)
+    got = KRYLOV_ALGOS[algo](a.with_ring(counted, lambda x: x))
+    assert (counted.stats, counted.max_bits, got) == (stats, max_bits, result)
+    assert KRYLOV_ALGOS[algo](a) == result
+
+
 def _kaltofen_literal_matrix(base, n, seed):
     if base == "group-2 Z[x,y]":
         return bench.generate_matrix(bench.BenchCase(2, n, seed))
@@ -596,8 +679,8 @@ def _kaltofen_literal_matrix(base, n, seed):
     return DenseMatrix(ring, n, n, [ring.random_element(rng) for _ in range(n * n)])
 
 
-# the bases whose Krylov step runs the Ring matmul default (one Ring.dot
-# per entry) and whose series products run the truncated_mul default;
+# the bases whose Krylov steps run the Ring krylov and matmul defaults (one
+# Ring.dot per entry) and whose series products run the truncated_mul default;
 # Kaltofen over K(t) normalizes every series coefficient, so it stays small
 @pytest.mark.parametrize("base, n", [("zp:7[x]", 3), ("zp:7[x]", 5), ("Q", 3), ("Q", 6),
                                      ("K(t)", 2), ("group-2 Z[x,y]", 3)])

@@ -261,6 +261,16 @@ def test_fraction_field_normalization():
     assert v[1][-1] == Fraction(1)
 
 
+def test_fraction_field_random_element_keeps_the_base_degree():
+    # the bound sizes the coefficients, not the degree of K(t)'s
+    # polynomials, which keeps PolynomialRing's default of 2
+    kt = rational_function_field(QQ)
+    rng = Rng(5)
+    draws = [kt.random_element(rng) for _ in range(40)]
+    assert all(len(num) <= 3 and 1 <= len(den) <= 3 for num, den in draws)
+    assert max(len(den) for _, den in draws) == 3
+
+
 def test_fraction_field_members_on_a_charpoly_over_k_of_t():
     # pinv's K(t): Le Verrier and interpolation reach from_int and
     # div_by_int, a bit-tracking CountingRing bit_size, and the digest format

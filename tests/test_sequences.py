@@ -4,7 +4,7 @@ import pytest
 
 from conftest import minimal_polynomial_dense
 from exactla import sequences as sq
-from exactla.errors import RetriesExhausted, ZeroSequence
+from exactla.errors import DimensionMismatch, RetriesExhausted, ZeroSequence
 from exactla.matrix import DenseMatrix
 from exactla.poly import divmod_poly
 from exactla.rings import IntegersMod
@@ -141,6 +141,13 @@ def test_wiedemann_retries_exhausted():
         sq.wiedemann_minpoly(DenseMatrix.zeros(IntegersMod(2), 1, 1), seed=5)
     assert str(exc.value) == ("no generator found in 4 tries "
                               "(an all-zero sampled sequence has none)")
+
+
+def test_wiedemann_rejects_a_non_square_matrix():
+    for rows, cols in ((2, 3), (3, 2), (1, 2)):
+        a = DenseMatrix(F101, rows, cols, list(range(rows * cols)))
+        with pytest.raises(DimensionMismatch):
+            sq.wiedemann_minpoly(a, seed=1)
 
 
 def test_wiedemann_deterministic_seeding():

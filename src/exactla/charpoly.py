@@ -14,7 +14,7 @@ from .elimination import (EchelonBasis, _jorbarsol_rows, det_field,
 from .errors import (NOT_A_UNIT, AdjointVanishes, ExactDivisionFailed,
                      IntegerNotInvertible)
 from .matrix import DenseMatrix, mat_mul
-from .rings import QQ, ZZ, FractionField, PolynomialRing, SeriesRing
+from .rings import QQ, ZZ, FractionField, PolynomialRing, Ring, SeriesRing
 
 
 class CharPoly:
@@ -328,9 +328,31 @@ def charpoly_preparata_sarwate(a):
 # Hessenberg (fields)
 
 def charpoly_hessenberg(a):
+    """Similarity reduction to upper Hessenberg form, then the recurrence
+    for the charpolys p_m of its leading blocks.
+
+    Over a ring with a native dot (today IntegersMod), each pivot step
+    defers its column updates: L^-1 H L = (L^-1 H) L, so after the row
+    updates column ip takes one dot per row with the multipliers, and
+    each recurrence coefficient is one dot over its history in the
+    earlier p_k.  Every other ring, CountingRing included, runs the
+    interleaved literal stream that hessenberg_count describes."""
     ring = a.ring
-    n = a.rows
-    h = a.to_rows()
+    h = _hessenberg_reduce(ring, a.to_rows())
+    recurrence = _hessenberg_recurrence_dots if _native_dot(ring) else _hessenberg_recurrence
+    return _sign_normalize(ring, recurrence(ring, h), a.rows)
+
+
+def _native_dot(ring):
+    return type(ring).dot is not Ring.dot
+
+
+def _hessenberg_reduce(ring, h):
+    """The rows h reduced in place to upper Hessenberg form by a
+    similarity (pivot search down the column, row and column swap,
+    elimination below the subdiagonal); returns h."""
+    n = len(h)
+    deferred = _native_dot(ring)
     for jp in range(n - 2):
         ip = jp + 1
         ic = ip
@@ -343,16 +365,53 @@ def charpoly_hessenberg(a):
             for row in h:
                 row[ip], row[ic] = row[ic], row[ip]
         piv = h[ip][jp]
+        cs = [ring.one]     # 1 for row[ip] itself, then each row's multiplier, 0 if skipped
         for i in range(ip + 1, n):
             if ring.is_zero(h[i][jp]):
+                cs.append(ring.zero)
                 continue
             c = ring.div(h[i][jp], piv)
+            cs.append(c)
             h[i][jp] = ring.zero
             h[i][jp + 1:] = ring.submul(h[i][jp + 1:], c, h[ip][jp + 1:])
-            col = ring.addmul([row[ip] for row in h], c, [row[i] for row in h])
-            for row, x in zip(h, col):
-                row[ip] = x
-    # Hessenberg recurrence on the reduced matrix (ascending coefficient lists)
+            if not deferred:
+                col = ring.addmul([row[ip] for row in h], c, [row[i] for row in h])
+                for row, x in zip(h, col):
+                    row[ip] = x
+        if deferred:
+            for row in h:
+                row[ip] = ring.dot(row[ip:], cs)
+    return h
+
+
+def _hessenberg_recurrence_dots(ring, h):
+    """Ascending p_n of the Hessenberg rows h: p_m[j] is one dot of the
+    multipliers of p_0..p_{m-1} with coefficient j of p_j..p_{m-1},
+    less p_{m-1}[j-1]."""
+    hist = [[ring.one]]     # hist[j]: coefficient j of p_j, p_{j+1}, ... so far
+    prev = [ring.one]
+    for m in range(1, len(h) + 1):
+        # w[k] multiplies p_k: the subdiagonal product chain for k < m-1,
+        # the diagonal entry for k = m-1
+        w = [h[m - 1][m - 1]]
+        c = ring.one
+        for i in range(1, m):
+            c = ring.neg(ring.mul(c, h[m - i][m - i - 1]))
+            w.append(ring.mul(c, h[m - i - 1][m - 1]))
+        w.reverse()
+        cur = [ring.dot(hist[0], w)]
+        cur += [ring.sub(ring.dot(hist[j], w[j:]), prev[j - 1]) for j in range(1, m)]
+        cur.append(ring.neg(prev[m - 1]))
+        for column, x in zip(hist, cur):
+            column.append(x)
+        hist.append([cur[m]])
+        prev = cur
+    return prev
+
+
+def _hessenberg_recurrence(ring, h):
+    """Ascending p_n of the Hessenberg rows h, one addmul per earlier p_k."""
+    n = len(h)
     ps = [[ring.one]]
     for m in range(1, n + 1):
         hm = h[m - 1][m - 1]
@@ -368,7 +427,7 @@ def charpoly_hessenberg(a):
             lower = ps[m - i - 1]
             cur[:len(lower)] = ring.addmul(cur, t, lower)
         ps.append(cur)
-    return _sign_normalize(ring, ps[n], n)
+    return ps[n]
 
 
 # ---------------------------------------------------------------------------

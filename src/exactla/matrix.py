@@ -47,13 +47,6 @@ class DenseMatrix:
     def col(self, j):
         return self.entries[j::self.cols]
 
-    def principal_submatrix(self, r):
-        """A_r = A[1..r, 1..r]."""
-        if r > min(self.rows, self.cols):
-            raise DimensionMismatch("principal submatrix order too large")
-        rows = self.to_rows()
-        return DenseMatrix.from_rows(self.ring, [row[:r] for row in rows[:r]])
-
     def transpose(self):
         rows = self.to_rows()
         return DenseMatrix.from_rows(self.ring, [list(col) for col in zip(*rows)])

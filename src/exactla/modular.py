@@ -16,8 +16,9 @@ from .rings import ZZ, IntegersMod
 
 # rung k is the largest prime below 2^(32k), k = 2..32, as its offset from
 # 2^(32k).  Hessenberg over Z/p at n = 24 costs per modulus bit (CPython
-# 3.11, 2-CPU Xeon, best of 9): 98 us at 61 bits, 53-72 us at 192-1024,
-# 82-86 us at 1280-1536 and 116 us at 2048; the ladder stops before the rise.
+# 3.11, one CPU of a shared 2-CPU Xeon, best of 27): 79 us at 61 bits,
+# 46-70 us at 192-1024, 78-88 us at 1280-1536 and 119 us at 2048; the
+# ladder stops before the rise.
 _RUNG_OFFSETS = (
     59, 17, 159, 47, 237, 63, 189, 167, 197, 657, 317, 435, 203, 47, 569,
     759, 789, 527, 305, 399, 245, 509, 825, 105, 143, 243, 213, 645, 167,

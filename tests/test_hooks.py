@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from exactla import bench, charpoly, matrix, poly, registry, rings, sequences
 from exactla import multipoly as mp
 from exactla.elimination import det_field, gauss_lu
-from exactla.errors import NotApplicable
+from exactla.errors import ExactLAError, NotApplicable
 from exactla.matrix import DenseMatrix
 from exactla.pinv import rational_function_field
 from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod, OpStats, PolynomialRing,
@@ -663,6 +663,108 @@ def test_counted_krylov_loops_are_pinned(algo, spec, n, stats, max_bits, result)
     got = KRYLOV_ALGOS[algo](a.with_ring(counted, lambda x: x))
     assert (counted.stats, counted.max_bits, got) == (stats, max_bits, result)
     assert KRYLOV_ALGOS[algo](a) == result
+
+
+# counted Hessenberg, pinned to the interleaved stream (one row submul and
+# one column addmul per eliminated row, one addmul per earlier p_k) that
+# every ring without a native dot keeps: OpStats, max_bits and digest of
+# bench.run_case (Z input lifted to Q) on group-1 and group-5 matrices,
+# and over Z/10007 on random and group-5 matrices (skipped columns, row
+# swaps and zero multipliers)
+HESSENBERG_Q_PINS = (
+    (1, 8, 1, OpStats(252, 140, 456, 21, 0), 444, "a95035f3348ca6ea"),
+    (1, 12, 1, OpStats(946, 506, 1596, 55, 0), 1170, "95d4f917a5c0ae7a"),
+    (1, 16, 2, OpStats(2344, 1225, 3825, 104, 0), 2374, "9737bd09e9101da3"),
+    (1, 20, 2, OpStats(4750, 2470, 7620, 171, 0), 3904, "5f9b59f19a0bd757"),
+    (5, 8, 1, OpStats(140, 59, 263, 7, 0), 73, "0355cb07af43d72a"),
+    (5, 12, 2, OpStats(466, 185, 795, 15, 0), 168, "36636ae00f37002d"),
+    (5, 16, 2, OpStats(1096, 409, 1761, 26, 0), 118, "ec264799be10cc5b"),
+    (5, 18, 1, OpStats(1977, 807, 3108, 56, 0), 533, "0f3b67a0c7edac4b"),
+    (5, 18, 2, OpStats(1779, 720, 2823, 45, 0), 443, "34e9f1f6e7bef9d2"),
+    (5, 20, 1, OpStats(2730, 1127, 4257, 70, 0), 1103, "0abe71423eaae1f8"),
+    (5, 20, 2, OpStats(1690, 358, 2448, 18, 0), 76, "95c53eb74e92a3c0"),
+)
+HESSENBERG_ZP_PINS = (
+    ("random", 9, OpStats(372, 204, 657, 28, 0), "b07eb0ca59e7345c"),
+    ("random", 18, OpStats(3417, 1785, 5526, 136, 0), "002b33585a5afbf4"),
+    ("group5", 9, OpStats(192, 83, 356, 8, 0), "3bb5f2692e6f54fd"),
+    ("group5", 18, OpStats(1779, 720, 2823, 45, 0), "daf41627a603f88f"),
+)
+
+
+@pytest.mark.parametrize("group, n, seed, stats, max_bits, digest", HESSENBERG_Q_PINS)
+def test_counted_hessenberg_over_q_is_pinned(group, n, seed, stats, max_bits, digest):
+    rec = bench.run_case(bench.BenchCase(group, n, seed, "hessenberg"))
+    assert (rec.stats, rec.max_bits, rec.digest) == (stats, max_bits, digest)
+
+
+@pytest.mark.parametrize("kind, n, stats, digest", HESSENBERG_ZP_PINS)
+def test_counted_hessenberg_over_zp_is_pinned(kind, n, stats, digest):
+    zp = IntegersMod(10007)
+    if kind == "group5":
+        a = bench.generate_matrix(bench.BenchCase(5, n, 2)).with_ring(zp, zp.from_int)
+    else:
+        rng = Rng(300 + n)
+        a = DenseMatrix(zp, n, n, [rng.below(zp.m) for _ in range(n * n)])
+    counted = CountingRing(zp, track_bits=True)
+    got = charpoly.charpoly_hessenberg(a.with_ring(counted, lambda x: x))
+    assert (counted.stats, counted.max_bits, got.digest()) == (stats, 14, digest)
+    assert charpoly.charpoly_hessenberg(a).digest() == digest
+
+
+HESSENBERG_MODULI = (2, 7, 12, 65521, 10007, 998244353, (1 << 61) - 1, (1 << 256) - 189)
+
+
+@st.composite
+def hessenberg_cases(draw):
+    """A matrix over Z/m, m from the slot-width ladder (and composite 12),
+    side 1..12, dense or mostly zero, each column kept as drawn, zeroed
+    below the subdiagonal (the pivot search skips it), zeroed on the
+    subdiagonal (a row swap) or zeroed in some rows below it (zero
+    multipliers among nonzero ones)."""
+    m = draw(st.sampled_from(HESSENBERG_MODULI))
+    n = draw(st.integers(1, 12))
+    value = st.integers(0, m - 1)
+    if draw(st.booleans()):
+        value = st.one_of(st.just(0), st.just(0), st.just(0), value)
+    rows = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(n)]
+    for j in range(n):
+        mode = draw(st.sampled_from(("as drawn", "skip", "swap", "zero rows")))
+        below = range(j + 1, n)
+        if mode == "swap":
+            below = below[:1]
+        elif mode == "zero rows":
+            below = [i for i in below if draw(st.booleans())]
+        elif mode == "as drawn":
+            below = ()
+        for i in below:
+            rows[i][j] = 0
+    return IntegersMod(m), rows
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ExactLAError as e:
+        return type(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hessenberg_cases())
+def test_hessenberg_dots_match_the_literal_stream(case):
+    # IntegersMod has a native dot and takes the deferred column step and
+    # the dot recurrence; CountingRing over it runs the literal stream on
+    # the same residues.  Over Z/12 a non-unit pivot raises on both paths.
+    ring, rows = case
+    literal = CountingRing(ring)
+    reduced = _outcome(charpoly._hessenberg_reduce, ring, [list(r) for r in rows])
+    assert reduced == _outcome(charpoly._hessenberg_reduce, literal, [list(r) for r in rows])
+    a = DenseMatrix.from_rows(ring, rows)
+    got = _outcome(lambda m: charpoly.charpoly_hessenberg(m).coeffs, a)
+    assert got == _outcome(lambda m: charpoly.charpoly_hessenberg(m).coeffs,
+                           a.with_ring(literal, lambda x: x))
+    if ring.spec.is_field:
+        assert got == charpoly.charpoly_berkowitz(a).coeffs
 
 
 def _kaltofen_literal_matrix(base, n, seed):

@@ -112,11 +112,6 @@ def test_triangular_inverse_lets_ring_bugs_propagate():
         triangular_inverse(t, "lower")
 
 
-def test_principal_submatrix():
-    a = DenseMatrix.from_rows(ZZ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert a.principal_submatrix(2).to_rows() == [[1, 2], [4, 5]]
-
-
 def test_matrix_text_format_roundtrip(rng):
     mats = [
         _rand(ZZ, rng, 3, 4),

@@ -14,7 +14,7 @@ from .elimination import (EchelonBasis, _jorbarsol_rows, det_field,
 from .errors import (NOT_A_UNIT, AdjointVanishes, ExactDivisionFailed,
                      IntegerNotInvertible)
 from .matrix import DenseMatrix, mat_mul
-from .rings import QQ, ZZ, FractionField, PolynomialRing, Ring, SeriesRing
+from .rings import QQ, ZZ, FractionField, PolynomialRing, Ring, SeriesRing, support_dot
 
 
 class CharPoly:
@@ -82,47 +82,20 @@ def charpoly_berkowitz(a, sparse_aware=False):
     v = [neg_one, rows[0][0]]
     if n == 1:
         return CharPoly(ring, v)
-    if sparse_aware:
-        nz = [[] for _ in range(n)]
+    support = _support(ring, rows) if sparse_aware else None
+    krylov = ring.krylov(rows, support)
     for r in range(2, n + 1):
         m = r - 1
-        s = [rows[i][m] for i in range(m)]
-        if sparse_aware:
-            for i in range(n):
-                if not ring.is_zero(rows[i][m - 1]):
-                    nz[i].append(m - 1)
-            iterates = _support_krylov(ring, rows, nz, s, m - 1)
-            tail = [_dot_row(ring, rows[m], x, nz[m]) for x in iterates]
-        else:
-            iterates = ring.krylov([row[:m] for row in rows[:m]], s, m - 1)
-            tail = [ring.dot(rows[m], x) for x in iterates]
+        tail = [support_dot(ring, rows[m], x, support[m]) if sparse_aware else ring.dot(rows[m], x)
+                for x in krylov([rows[i][m] for i in range(m)], m - 1)]
         c = [None, neg_one, rows[m][m]] + tail
         # Toeplitz times vector: entry i is the sum of c[i+1-j]*v[j-1], j = 1..min(r, i)
         v = [ring.dot(c[i:max(i - r, 0):-1], v) for i in range(1, r + 2)]
     return CharPoly(ring, v)
 
 
-def _support_krylov(ring, rows, nz, v, k):
-    """ring.krylov on the leading len(v) x len(v) block of rows, each row
-    dotted with v over its support nz[j] only."""
-    out = [v]
-    for _ in range(k):
-        v = [_dot_row(ring, rows[j], v, nz[j]) for j in range(len(v))]
-        out.append(v)
-    return out
-
-
-def _dot_row(ring, row, s, support):
-    """row . s over the columns of a support (ascending column indices)
-    below len(s).  The loop stays scalar: a sparse row holds a few
-    nonzeros, too few to pay for a bulk call."""
-    acc = None
-    for k in support:
-        if k >= len(s):
-            break
-        t = ring.mul(row[k], s[k])
-        acc = t if acc is None else ring.add(acc, t)
-    return ring.zero if acc is None else acc
+def _support(ring, rows):
+    return [[k for k, x in enumerate(row) if not ring.is_zero(x)] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +110,12 @@ def chistov_diagonal_series(a, sparse_aware=False):
     ring = a.ring
     n = a.rows
     rows = a.to_rows()
-    if sparse_aware:
-        nz = [[k for k in range(n) if not ring.is_zero(rows[i][k])] for i in range(n)]
+    krylov = ring.krylov(rows, _support(ring, rows) if sparse_aware else None)
     out = []
     for r in range(1, n + 1):
         v = [ring.zero] * r
         v[r - 1] = ring.one
-        if sparse_aware:
-            iterates = _support_krylov(ring, rows, nz, v, n)
-        else:
-            iterates = ring.krylov([row[:r] for row in rows[:r]], v, n)
-        out.append([w[r - 1] for w in iterates])
+        out.append([w[r - 1] for w in krylov(v, n)])
     return out
 
 
@@ -507,7 +475,7 @@ def _frobenius_simple(a):
     n = a.rows
     rows = a.to_rows()
     e1 = [ring.one] + [ring.zero] * (n - 1)
-    w = [list(row) for row in zip(e1, *ring.krylov(rows, [row[0] for row in rows], n - 1))]
+    w = [list(row) for row in zip(e1, *ring.krylov(rows)([row[0] for row in rows], n - 1))]
     return _from_monic_tail(ring, _jorbarsol_rows(ring, w, skip_first_pivot=True), n)
 
 
@@ -518,7 +486,7 @@ def frobenius_block_polynomials(a):
     ring = a.ring
     n = a.rows
     field, into, back = _field_of_fractions(ring)
-    arows = [[into(x) for x in row] for row in a.to_rows()]
+    krylov = field.krylov([[into(x) for x in row] for row in a.to_rows()])
     basis = EchelonBasis(field)
     tails = []          # per block: the y_j of A^size v = sum_j y_j A^j v
     seed_from = 0
@@ -530,7 +498,7 @@ def frobenius_block_polynomials(a):
                 seed_from = i + 1
                 break
         while True:
-            v = [field.dot(arows[i], v) for i in range(n)]
+            v = krylov(v, 1)[1]
             if not basis.insert(v):
                 tails.append(basis.express(v)[start:])
                 break
@@ -603,7 +571,7 @@ def charpoly_kaltofen(a):
             row.append((c, f) + (ring.zero,) * (n - 1))
         brows.append(row)
     v = [sr.from_base(ring.from_int(x)) for x in kaltofen_center_vector(n)]
-    seq = [w[0] for w in sr.krylov(brows, v, 2 * n - 1)]
+    seq = [w[0] for w in sr.krylov(brows)(v, 2 * n - 1)]
     gen = _polgenmin(sr, seq, n)
     asc = [sr.eval_at_one(c) for c in gen]
     return _sign_normalize(ring, asc, n)

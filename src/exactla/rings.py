@@ -19,23 +19,23 @@ for their inner loops:
                            the series product mod z^(order+1)
     matmul(a_rows, b_rows) matrix product of two lists of rows, one dot
                            per entry
-    krylov(a_rows, v, k)   [v, Av, ..., A^k v] for a square A of side
-                           len(v), one dot per entry and step
+    krylov(rows, support)  run(v, k): [v, Av, ..., A^k v], A the leading
+                           len(v) block, one dot or support_dot per entry
 
 The Ring defaults are the literal scalar loops, op for op, and they are
 all a CountingRing has, so counted op streams, max_bits and digests do
 not depend on the hooks.  IntegersMod overrides all six (sums in C, one
 reduction per dot or entry, Kronecker substitution for products, packed
-rows for matmul and the columns of A packed once for krylov, in slots of
-1, 2, 4 or 8 bytes for struct, exact widths past 8); IntegerRing
-overrides the first four, RationalField product (one Z product of the
-operands with their denominators cleared), QuotientRing the first four
-and mul (one Z/p product of flat forms and one tabulated reduction per
-output element; see its docstring).  SeriesRing overrides krylov over
-Z/p, Z and flat quotients (A split by powers of z once, one base matmul
-per step), and product and submul over exactly IntegersMod (one
-bivariate Kronecker product), chosen by the type of its base alone:
-none of those bases is or holds a CountingRing.
+rows for matmul and the matrix's columns packed once for krylov, in
+slots of 1, 2, 4 or 8 bytes for struct, exact widths past 8);
+IntegerRing overrides the first four, RationalField product (one Z
+product of the operands with their denominators cleared), QuotientRing
+the first four and mul (one Z/p product of flat forms and one tabulated
+reduction per output element; see its docstring).  SeriesRing overrides
+krylov over Z/p, Z and flat quotients (the block split by powers of z
+once per run, one base matmul per step), and product and submul over
+exactly IntegersMod (one bivariate Kronecker product), chosen by the
+type of its base alone: none of those bases is or holds a CountingRing.
 PolynomialRing add and sub run the literal base ops of poly.add and
 poly.sub without the list round-trips.
 
@@ -176,13 +176,18 @@ class Ring:
         cols = list(zip(*b_rows))
         return [[dot(row, col) for col in cols] for row in a_rows]
 
-    def krylov(self, a_rows, v, k):
+    def krylov(self, rows, support=None):
+        # every dot stops at len(v), so the block's rows need no slicing
         dot = self.dot
-        out = [v]
-        for _ in range(k):
-            v = [dot(row, v) for row in a_rows]
-            out.append(v)
-        return out
+
+        def run(v, k):
+            out, block = [v], rows[:len(v)]
+            for _ in range(k):
+                v = ([dot(row, v) for row in block] if support is None else
+                     [support_dot(self, row, v, cols) for row, cols in zip(block, support)])
+                out.append(v)
+            return out
+        return run
 
     def pow(self, a, k):
         acc = self.one
@@ -196,6 +201,18 @@ class Ring:
 
     def __repr__(self):
         return "<ring %s>" % self.name
+
+
+def support_dot(ring, row, v, cols):
+    """row . v over the columns cols (ascending) below len(v): a scalar
+    loop, as a sparse row holds too few nonzeros to pay for a bulk call."""
+    acc = None
+    for k in cols:
+        if k >= len(v):
+            break
+        t = ring.mul(row[k], v[k])
+        acc = t if acc is None else ring.add(acc, t)
+    return ring.zero if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +514,27 @@ class IntegersMod(Ring):
                             width, code, cols, m)
                 for row in a_rows]
 
-    def krylov(self, a_rows, v, k):
-        """v reduced once and each column of a packed once, in slots wide
-        enough for any entry of a product; each step is then one sum of
-        (entry of v) * (packed column of a), unpacked and reduced."""
-        m, n = self.m, len(v)
-        width, code = _slot_format(n * (m - 1) ** 2)
-        cols = [_residue_slots(col, m, width, code) for col in zip(*a_rows)]
-        out, v = [v], [x % m for x in v]
-        for _ in range(k):
-            v = _from_slots(sum(map(_mul, v, cols)).to_bytes(width * n, "little"), width, code, n, m)
-            out.append(v)
-        return out
+    def krylov(self, rows, support=None):
+        """Each column reduced and packed once, in slots wide enough for
+        any entry of a product; a run on the leading r x r block masks r
+        columns to r slots, and each step is one sum of (entry of v) *
+        (masked column).  A support keeps the Ring default's scalar loop."""
+        if support is not None:
+            return Ring.krylov(self, rows, support)
+        m = self.m
+        width, code = _slot_format(len(rows) * (m - 1) ** 2)
+        cols = [_residue_slots(col, m, width, code) for col in zip(*rows)]
+
+        def run(v, k):
+            r = len(v)
+            block = [col & ((1 << 8 * width * r) - 1) for col in cols[:r]]
+            out, v = [v], [x % m for x in v]
+            for _ in range(k):
+                v = _from_slots(sum(map(_mul, v, block)).to_bytes(width * r, "little"),
+                                width, code, r, m)
+                out.append(v)
+            return out
+        return run
 
     def div(self, a, b):
         if b % self.m == 0:
@@ -1422,27 +1448,32 @@ class SeriesRing(Ring):
     def mul(self, a, b):
         return tuple(self.base.product(a, b, self.order))
 
-    def krylov(self, a_rows, v, k):
-        """Split by powers of z, once for all k steps: with d the largest
-        z-degree in a, the base matrix [A_0 | ... | A_d] times, at each
-        step, the coefficient vectors of v shifted by z^0..z^d stacked
-        below each other, one base.matmul (d = 1 for Kaltofen's
-        C + z(A - C))."""
-        if not self._split or not v:
-            return Ring.krylov(self, a_rows, v, k)
+    def krylov(self, rows, support=None):
+        """Each run splits its leading block A by powers of z once for all
+        k steps: with d the largest z-degree in A, [A_0 | ... | A_d] times,
+        at each step, the coefficient vectors of v shifted by z^0..z^d
+        stacked, one base.matmul (d = 1 for Kaltofen's C + z(A - C))."""
+        if not self._split or support is not None:
+            return Ring.krylov(self, rows, support)
         zero, n = self.zero, self.order + 1
-        d = 0
-        for row in a_rows:
-            for x in row:
-                while d < self.order and x[d + 1:] != zero[d + 1:]:
-                    d += 1
-        left = [[x[j] for j in range(d + 1) for x in row] for row in a_rows]
-        out = [v]
-        for _ in range(k):
-            right = [zero[:j] + y[:n - j] for j in range(d + 1) for y in v]
-            v = [tuple(r) for r in self.base.matmul(left, right)]
-            out.append(v)
-        return out
+
+        def run(v, k):
+            if not v:
+                return [v] * (k + 1)
+            block = [row[:len(v)] for row in rows[:len(v)]]
+            d = 0
+            for row in block:
+                for x in row:
+                    while d < self.order and x[d + 1:] != zero[d + 1:]:
+                        d += 1
+            left = [[x[j] for j in range(d + 1) for x in row] for row in block]
+            out = [v]
+            for _ in range(k):
+                right = [zero[:j] + y[:n - j] for j in range(d + 1) for y in v]
+                v = [tuple(r) for r in self.base.matmul(left, right)]
+                out.append(v)
+            return out
+        return run
 
     def product(self, a, b, order=None):
         """Over exactly IntegersMod, untruncated: one _kron, stripped."""

@@ -87,12 +87,12 @@ def wiedemann_minpoly(a, seed, retries=4, degree_target=None):
         raise DimensionMismatch("Wiedemann needs a square matrix, not %dx%d" % (a.rows, a.cols))
     ring = a.ring
     n = a.rows
-    rows = a.to_rows()
+    krylov = ring.krylov(a.to_rows())
     rng = Rng(seed)
     for _ in range(max(1, retries)):
         u = [ring.random_element(rng) for _ in range(n)]
         v = [ring.random_element(rng) for _ in range(n)]
-        terms = [ring.dot(u, w) for w in ring.krylov(rows, v, 2 * n - 1)]
+        terms = [ring.dot(u, w) for w in krylov(v, 2 * n - 1)]
         try:
             gen = berlekamp_massey(ring, terms, n)
         except ZeroSequence:
@@ -103,4 +103,4 @@ def wiedemann_minpoly(a, seed, retries=4, degree_target=None):
             return gen
     target = "" if degree_target is None else " of degree >= %d" % degree_target
     raise RetriesExhausted("no generator%s found in %d tries (an all-zero sampled "
-                           "sequence has none)" % (target, retries))
+                           "sequence has none)" % (target, max(1, retries)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from exactla import bench, charpoly, matrix, poly, registry, rings, sequences
 from exactla import multipoly as mp
 from exactla.elimination import det_field, gauss_lu
-from exactla.errors import ExactLAError, NotApplicable
+from exactla.errors import ExactDivisionFailed, ExactLAError, NotApplicable
 from exactla.matrix import DenseMatrix
 from exactla.pinv import rational_function_field
 from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod, OpStats, PolynomialRing,
@@ -186,7 +186,7 @@ def zp_krylov_cases(draw):
 @given(zp_krylov_cases())
 def test_zp_krylov_matches_literal(case):
     ring, a, v, k = case
-    assert ring.krylov(a, v, k) == Ring.krylov(ring, a, v, k)
+    assert ring.krylov(a)(v, k) == Ring.krylov(ring, a)(v, k)
 
 
 # (modulus, side, bytes per slot of the packed columns): every slot
@@ -205,7 +205,78 @@ def test_zp_krylov_edge_shapes(m, n, width):
              (top, e1, 0), (top, [m - 1] * n, 2 * n), (zero, [1] * n, 3), (top, [0] * n, 3),
              (ramp, [-m - 1] * n, n), (ramp, e1, 2 * n - 1)]
     for a, v, k in cases:
-        assert ring.krylov(a, v, k) == Ring.krylov(ring, a, v, k), (a, v, k)
+        assert ring.krylov(a)(v, k) == Ring.krylov(ring, a)(v, k), (a, v, k)
+
+
+# (modulus, side, bytes per slot of the full-height packed columns): every
+# slot width, the exact 9 bytes of Z/998244353 past n = 18, Z/2 and a
+# composite modulus
+KRYLOV_OPERATOR_WIDTHS = ((2, 6, 1), (7, 7, 1), (7, 13, 2), (12, 4, 2), (10007, 9, 4),
+                          (65521, 5, 8), (998244353, 18, 8), (998244353, 19, 9),
+                          ((1 << 61) - 1, 7, 16))
+KRYLOV_SERIES_BASES = ("zp:10007", "zp:2305843009213693951", "Z", "zp:7[x]/1*x^3+-1")
+
+
+def _krylov_values(draw, ring):
+    """A strategy for the entries of a matrix or vector over ring: all
+    zero, mostly zero or dense, over Z/m sometimes outside [0, m); over a
+    series ring, series of a drawn z-degree over the base's values."""
+    if isinstance(ring, SeriesRing):
+        base, order = ring.base, ring.order
+        value = _krylov_values(draw, base)
+        d = draw(st.integers(0, order))
+        return st.lists(value, min_size=d + 1, max_size=d + 1).map(
+            lambda cs: tuple(cs) + (base.zero,) * (order - d))
+    if isinstance(ring, IntegersMod):
+        m = ring.m
+        value = draw(st.sampled_from((st.integers(0, m - 1), st.integers(-3 * m, 3 * m))))
+    elif ring is ZZ:
+        value = st.integers(-2 ** 70, 2 ** 70)
+    else:
+        value = quotient_elements(ring)
+    zero = st.just(ring.zero)
+    return draw(st.sampled_from((zero, st.one_of(zero, zero, value), value)))
+
+
+@st.composite
+def krylov_operator_cases(draw):
+    """(ring, rows, support, runs): a square matrix over Z/m with a
+    modulus and side from KRYLOV_OPERATOR_WIDTHS, or over a series ring;
+    its support or None; and one run (v, k) on each leading block
+    r = 0..n, k from 0 to 2r+1, v sometimes zero."""
+    if draw(st.booleans()):
+        m, n, width = draw(st.sampled_from(KRYLOV_OPERATOR_WIDTHS))
+        assert rings._slot_format(n * (m - 1) ** 2)[0] == width
+        ring = IntegersMod(m)
+    else:
+        ring = SeriesRing(ring_from_string(draw(st.sampled_from(KRYLOV_SERIES_BASES))),
+                          draw(st.integers(1, 4)))
+        n = draw(st.integers(1, 5))
+    value = _krylov_values(draw, ring)
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=n, max_size=n))
+    support = None
+    if draw(st.booleans()):
+        support = [[j for j, x in enumerate(row) if not ring.is_zero(x)] for row in rows]
+    runs = []
+    for r in range(n + 1):
+        v = draw(st.one_of(st.just([ring.zero] * r), st.lists(value, min_size=r, max_size=r)))
+        runs.append((v, draw(st.integers(0, 2 * r + 1))))
+    return ring, rows, support, runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(krylov_operator_cases())
+def test_krylov_operator_matches_the_default_on_every_leading_block(case):
+    # one operator per matrix, run on every leading block: the native
+    # runs, the Ring default with the same support, the default without
+    # one, and the default on the block sliced out as a square all agree
+    ring, rows, support, runs = case
+    run = ring.krylov(rows, support)
+    literal, dense = Ring.krylov(ring, rows, support), Ring.krylov(ring, rows)
+    for v, k in runs:
+        r = len(v)
+        want = Ring.krylov(ring, [row[:r] for row in rows[:r]])(v, k)
+        assert run(v, k) == literal(v, k) == dense(v, k) == want, (r, k)
 
 
 def test_series_dot_counts_the_literal_stream_over_a_counted_tower():
@@ -288,7 +359,7 @@ def test_series_matmul_product_submul_match_literal(spec, order):
     sr = SeriesRing(base, order)
     for seed in range(2):
         for a, v, k in _series_krylov_cases(base, order, seed):
-            assert sr.krylov(a, v, k) == Ring.krylov(sr, a, v, k), (spec, a, v, k)
+            assert sr.krylov(a)(v, k) == Ring.krylov(sr, a)(v, k), (spec, a, v, k)
         lists = list(_series_lists(base, order, seed))
         for a in lists:
             for b in lists:
@@ -349,12 +420,14 @@ def test_series_hooks_stay_literal_over_a_counted_tower():
     # stream does not depend on them
     a = [[(1, 2, 0), (3, 0, 0)], [(0, 1, 0), (2, 2, 0)]]
     xs, ys, c = [(4, 5, 6), (1, 0, 0)], [(1, 1, 1), (0, 2, 0)], (1, 2, 3)
-    calls = (("krylov", a, xs, 3), ("product", [c], xs), ("product", xs, ys),
-             ("submul", ys, c, xs))
+    calls = (("krylov", a), ("product", [c], xs), ("product", xs, ys), ("submul", ys, c, xs))
     for hook, *args in calls:
         counted, literal = CountingRing(IntegersMod(7)), CountingRing(IntegersMod(7))
         got = getattr(SeriesRing(counted, 2), hook)(*args)
-        assert got == getattr(Ring, hook)(SeriesRing(literal, 2), *args), hook
+        want = getattr(Ring, hook)(SeriesRing(literal, 2), *args)
+        if hook == "krylov":        # the operator's run(v, k)
+            got, want = got(xs, 3), want(xs, 3)
+        assert got == want, hook
         assert counted.stats == literal.stats and counted.stats.muls > 0, hook
 
 
@@ -663,6 +736,34 @@ def test_counted_krylov_loops_are_pinned(algo, spec, n, stats, max_bits, result)
     got = KRYLOV_ALGOS[algo](a.with_ring(counted, lambda x: x))
     assert (counted.stats, counted.max_bits, got) == (stats, max_bits, result)
     assert KRYLOV_ALGOS[algo](a) == result
+
+
+# counted Frobenius blocks, pinned to the per-row field dots of their
+# Krylov steps before the krylov operator: OpStats, max_bits and the block
+# polynomials, over Z/10007 and over Z (counted in Q), on matrices that
+# keep the span of e_1, e_2, e_3 invariant, so that e_1 does not generate
+FROBENIUS_BLOCK_PINS = (
+    ("zp:10007", 9, OpStats(851, 61, 993, 60, 0), 14,
+     [[8771, 7687, 9674, 1], [9652, 4166, 3927, 5998, 5502, 4633, 1]]),
+    ("Z", 7, OpStats(405, 20, 474, 41, 0), 23, [[1152, 46, 7, 1], [428, -183, 92, -16, 1]]),
+)
+
+
+@pytest.mark.parametrize("spec, n, stats, max_bits, result", FROBENIUS_BLOCK_PINS)
+def test_counted_frobenius_blocks_are_pinned(spec, n, stats, max_bits, result):
+    ring = ring_from_string(spec)
+    rng = Rng(400 + n)
+    draw = (lambda: rng.int_between(-9, 9)) if ring is ZZ else (lambda: rng.below(ring.m))
+    rows = [[draw() for _ in range(n)] for _ in range(n)]
+    for row in rows[3:]:
+        row[:3] = [0, 0, 0]
+    a = DenseMatrix.from_rows(ring, rows)
+    with pytest.raises(ExactDivisionFailed):
+        charpoly._frobenius_simple(a)
+    counted = CountingRing(QQ if ring is ZZ else ring, track_bits=True)
+    got = charpoly.frobenius_block_polynomials(a.with_ring(counted, counted.from_int))
+    assert (counted.stats, counted.max_bits, got) == (stats, max_bits, result)
+    assert charpoly.frobenius_block_polynomials(a) == result
 
 
 # counted Hessenberg, pinned to the interleaved stream (one row submul and

@@ -135,6 +135,9 @@ def test_wiedemann_retries_exhausted():
     z = DenseMatrix.zeros(F101, 3, 3)
     with pytest.raises(RetriesExhausted, match="no generator of degree >= 3 found in 2 tries"):
         sq.wiedemann_minpoly(z, seed=1, retries=2, degree_target=3)
+    # retries=0 still makes one try, and the message counts it
+    with pytest.raises(RetriesExhausted, match="no generator of degree >= 3 found in 1 tries"):
+        sq.wiedemann_minpoly(z, seed=1, retries=0, degree_target=3)
     # without a target too: on the 1x1 zero matrix over Z/2 every try of
     # this seed samples u.v = 0, and the zero sequence has no generator
     with pytest.raises(RetriesExhausted) as exc:

@@ -518,9 +518,8 @@ class IntegersMod(Ring):
         """Each column reduced and packed once, in slots wide enough for
         any entry of a product; a run on the leading r x r block masks r
         columns to r slots, and each step is one sum of (entry of v) *
-        (masked column).  A support keeps the Ring default's scalar loop."""
-        if support is not None:
-            return Ring.krylov(self, rows, support)
+        (masked column).  The support is ignored: it only names the
+        zero products that the scalar default skips."""
         m = self.m
         width, code = _slot_format(len(rows) * (m - 1) ** 2)
         cols = [_residue_slots(col, m, width, code) for col in zip(*rows)]
@@ -1452,8 +1451,9 @@ class SeriesRing(Ring):
         """Each run splits its leading block A by powers of z once for all
         k steps: with d the largest z-degree in A, [A_0 | ... | A_d] times,
         at each step, the coefficient vectors of v shifted by z^0..z^d
-        stacked, one base.matmul (d = 1 for Kaltofen's C + z(A - C))."""
-        if not self._split or support is not None:
+        stacked, one base.matmul (d = 1 for Kaltofen's C + z(A - C)).
+        There a support is ignored, as over Z/p."""
+        if not self._split:
             return Ring.krylov(self, rows, support)
         zero, n = self.zero, self.order + 1
 

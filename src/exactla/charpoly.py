@@ -65,10 +65,7 @@ def _sign_normalize(ring, asc, n):
 
 def _from_monic_tail(ring, tail, n):
     """Monic P(X) = X^n - sum tail[k] X^k  ->  CharPoly of (-1)^n P."""
-    asc = [ring.neg(t) for t in tail] + [ring.one]
-    if n % 2 == 1:
-        asc = [ring.neg(c) for c in asc]
-    return CharPoly(ring, asc[::-1])
+    return _sign_normalize(ring, [ring.neg(t) for t in tail] + [ring.one], n)
 
 
 # ---------------------------------------------------------------------------

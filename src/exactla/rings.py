@@ -24,18 +24,19 @@ for their inner loops:
 
 The Ring defaults are the literal scalar loops, op for op, and they are
 all a CountingRing has, so counted op streams, max_bits and digests do
-not depend on the hooks.  IntegersMod overrides all six (sums in C, one
-reduction per dot or entry, Kronecker substitution for products, packed
-rows for matmul and the matrix's columns packed once for krylov, in
-slots of 1, 2, 4 or 8 bytes for struct, exact widths past 8);
-IntegerRing overrides the first four, RationalField product (one Z
-product of the operands with their denominators cleared), QuotientRing
-the first four and mul (one Z/p product of flat forms and one tabulated
-reduction per output element; see its docstring).  SeriesRing overrides
-krylov over Z/p, Z and flat quotients (the block split by powers of z
-once per run, one base matmul per step), and product and submul over
-exactly IntegersMod (one bivariate Kronecker product), chosen by the
-type of its base alone: none of those bases is or holds a CountingRing.
+not depend on the hooks.  addmul is the Ring default in every ring.
+IntegersMod overrides the other five (sums in C, one reduction per dot
+or entry, Kronecker substitution for products, packed rows for matmul
+and the matrix's columns packed once for krylov, in slots of 1, 2, 4 or
+8 bytes for struct, exact widths past 8); IntegerRing dot, submul and
+product, RationalField product (one Z product of the operands with
+their denominators cleared), QuotientRing dot, submul, product and mul
+(one Z/p product of flat forms and one reduction per output element;
+see its docstring).  SeriesRing overrides krylov over Z/p, Z and
+quotient rings (the block split by powers of z once per run, one base
+matmul per step), and product and submul over exactly IntegersMod (one
+bivariate Kronecker product), chosen by the type of its base alone:
+none of those bases is or holds a CountingRing.
 PolynomialRing add and sub run the literal base ops of poly.add and
 poly.sub without the list round-trips.
 
@@ -256,9 +257,6 @@ class IntegerRing(Ring):
     def dot(self, xs, ys):
         return sum(map(_mul, xs, ys))
 
-    def addmul(self, ys, c, xs):
-        return [y + c * x for y, x in zip(ys, xs)]
-
     def submul(self, ys, c, xs):
         return [y - c * x for y, x in zip(ys, xs)]
 
@@ -450,10 +448,6 @@ class IntegersMod(Ring):
     def dot(self, xs, ys):
         return sum(map(_mul, xs, ys)) % self.m
 
-    def addmul(self, ys, c, xs):
-        m = self.m
-        return [(y + c * x) % m for y, x in zip(ys, xs)]
-
     def submul(self, ys, c, xs):
         m = self.m
         return [(y - c * x) % m for y, x in zip(ys, xs)]
@@ -600,7 +594,7 @@ KRONECKER_MIN_TERMS = 10
 Z_KRONECKER_MIN_TERMS = 16
 
 # most entries (flat positions times normal-form residues) of the table a
-# QuotientRing builds; past it the ring keeps the tower path.  At the
+# QuotientRing builds; past it the ring reduces by _rem.  At the
 # bound, Z/p[x]/<x^362+3x^5-1> builds its table in 13 ms (p = 7) to 41 ms
 # (p = 2^61-1), holds it in 0.3-2.4 MB, and multiplies 22x to 3.7x faster
 # than through _rem (CPython 3.11, one pinned CPU of a 2-CPU Xeon).
@@ -719,7 +713,8 @@ def _prime_factors(n):
 # ---------------------------------------------------------------------------
 # univariate polynomials (dense tuples, ascending, trailing zeros stripped)
 
-_TERM_RE = re.compile(r"([+-]?\d+)((?:\*[a-zA-Z]\w*\^\d+)*)$")
+_NAME = r"[a-zA-Z]\w*"      # a variable name in a term or a ring spec
+_TERM_RE = re.compile(r"([+-]?\d+)((?:\*%s\^\d+)*)$" % _NAME)
 
 # largest exponent of one variable in a term of a polynomial literal
 # (summed over the term's factors): literals are stored dense, so a
@@ -1076,15 +1071,15 @@ class QuotientRing(PolynomialRing):
     flat forms -- or of two stacked lists of elements, element k at
     k*span -- holds every unreduced product (_kron: IntegersMod.product
     for short operands, else one packed bigint product of which only
-    the wanted slots are unpacked).  The normal form of the monomial at
-    each position is tabulated when the ring is built (one packed row
-    per position, from the lower level's table and one base.submul per
-    row), and a block of `span` residues reduces by one packed sum: mul,
-    product, dot (ys stacked backward, the middle block), addmul and
-    submul each make one Z/p product and apply the table once per output
-    element.  Past FLAT_TABLE_MAX table entries there is no table, and
-    the ring keeps the tower path (mul is _rem of the base product, the
-    hooks are the Ring defaults).
+    the wanted slots are unpacked).  mul, product, dot (ys stacked
+    backward, the middle block) and submul each make one Z/p product and
+    reduce each output element's block of `span` residues once, at every
+    size; only _reduce_flat knows how.  Up to FLAT_TABLE_MAX table
+    entries the normal form of the monomial at each position is
+    tabulated when the ring is built (one packed row per position, from
+    the lower level's reduction and one base.submul per row), and a
+    block reduces by one packed sum.  Past it, each v_k-coefficient of
+    the block reduces one level down and _rem divides by Ik.
     """
 
     exact_div = Ring.exact_div      # division by the units +-1 only
@@ -1137,7 +1132,7 @@ class QuotientRing(PolynomialRing):
             lower = [base._reduce_flat([0] * m + [1]) for m in range(base.span)]
         else:
             lower = [base.one]
-        # a flat block holds residues below 2p (addmul adds y before reducing)
+        # a flat block holds residues below 2p (submul adds y before reducing)
         width, code = _slot_format(2 * self.span * (p - 1) ** 2)
         zero, g = base.zero, self.modulus[:d]
         table = [0] * self.span
@@ -1197,8 +1192,15 @@ class QuotientRing(PolynomialRing):
 
     def _reduce_flat(self, c):
         """The element whose flat form is c (at most `span` residues below
-        2p, any monomials): one packed sum over the table."""
+        2p, any monomials): one packed sum over the table, or without one
+        each block of a power of the top variable reduced by the level
+        below and then _rem."""
         p = self.p
+        if self._table is None:
+            if not self._tower:
+                return self._rem([r % p for r in c])
+            n, lower = self.base.span, self.base._reduce_flat
+            return self._rem([lower(c[i:i + n]) for i in range(0, len(c), n)])
         raw = sum(map(_mul, c, self._table)).to_bytes(self._table_bytes, "little")
         return self._nest([r % p for r in self._unpack_table(raw)])
 
@@ -1212,13 +1214,9 @@ class QuotientRing(PolynomialRing):
         return tuple(v)
 
     def mul(self, a, b):
-        if self._table is None:
-            return self._rem(self.base.product(a, b))
         return self._reduce_flat(self._kron(self._flat(a), self._flat(b), 0, self.span))
 
     def product(self, a, b, order=None):
-        if self._table is None:
-            return Ring.product(self, a, b, order)
         n = len(a) + len(b) - 1 if order is None else order + 1
         if n <= 0:
             return []
@@ -1234,32 +1232,21 @@ class QuotientRing(PolynomialRing):
         """The middle block of one product: xs stacked forward, ys
         backward (one mul for a single pair)."""
         n = min(len(xs), len(ys))
-        if self._table is None or n < 2:
+        if n < 2:
             return Ring.dot(self, xs, ys)
         span = self.span
         return self._reduce_flat(self._kron(self._stack(xs[:n]), self._stack(ys[n - 1::-1]),
                                             (n - 1) * span, span))
 
-    # addmul and submul: one mul and one add or sub for a single pair
-
-    def addmul(self, ys, c, xs):
-        if self._table is None or min(len(ys), len(xs)) < 2:
-            return Ring.addmul(self, ys, c, xs)
-        return self._axpy(ys, self._flat(c), xs)
-
     def submul(self, ys, c, xs):
-        if self._table is None or min(len(ys), len(xs)) < 2:
-            return Ring.submul(self, ys, c, xs)
-        p = self.p
-        return self._axpy(ys, [-r % p for r in self._flat(c)], xs)
-
-    def _axpy(self, ys, fc, xs):
-        """[y + c*x for each pair], fc the flat form of c or of -c: one
-        product of fc and the stacked xs, the stacked ys added before the
-        table."""
+        """One product of the flat form of -c and the stacked xs, the
+        stacked ys added before the reduction (one mul and one sub for a
+        single pair)."""
         n = min(len(ys), len(xs))
-        span, reduce = self.span, self._reduce_flat
-        c = self._kron(fc, self._stack(xs[:n]), 0, n * span)
+        if n < 2:
+            return Ring.submul(self, ys, c, xs)
+        p, span, reduce = self.p, self.span, self._reduce_flat
+        c = self._kron([-r % p for r in self._flat(c)], self._stack(xs[:n]), 0, n * span)
         y = self._stack(ys[:n])
         c = list(map(_add, c, y)) + y[len(c):]
         return [reduce(c[i:i + span]) for i in range(0, n * span, span)]
@@ -1414,7 +1401,7 @@ class SeriesRing(Ring):
 
     Kaltofen's is the only caller, so the ring has only what it uses.
     Its native hooks are chosen by the base's type: krylov over Z/p, Z
-    and flat quotients, product and submul over exactly IntegersMod.
+    and quotient rings, product and submul over exactly IntegersMod.
     None of these is or holds a CountingRing, so counted streams do not
     move."""
 
@@ -1426,8 +1413,7 @@ class SeriesRing(Ring):
         self.one = (base.one,) + (base.zero,) * order
         # over Z[x] or a fraction field the products by the zeros of a
         # split krylov cost full ring ops, so those keep the Ring default
-        self._split = (type(base) in (IntegersMod, IntegerRing)
-                       or getattr(base, "_table", None) is not None)
+        self._split = type(base) in (IntegersMod, IntegerRing, QuotientRing)
         self._zp = type(base) is IntegersMod
         b = base.spec
         self.spec = RingSpec(b.characteristic, False, False, False,
@@ -1647,14 +1633,13 @@ def _ring_from_spec(s):
     m = _QUOT_RE.match(s)
     if m:
         p = int(m.group(1))
-        varnames = [v.strip() for v in m.group(2).split(",")]
+        varnames = _varnames(m.group(2))
         helper = MultiPolynomialRing(p, varnames)
         gens = [helper.parse(g) for g in m.group(3).split(";")]
         return QuotientRing(p, varnames, gens)
     m = _POLY_RE.match(s)
     if m:
-        head, varpart = m.group(1), m.group(2)
-        varnames = [v.strip() for v in varpart.split(",")]
+        head, varnames = m.group(1), _varnames(m.group(2))
         if head == "Z":
             coeff = None
         elif head == "Q":
@@ -1670,3 +1655,16 @@ def _ring_from_spec(s):
     if s.startswith("zp:"):
         return IntegersMod(int(s[3:]))
     raise ParseError("unknown ring spec %r" % s)
+
+
+def _varnames(text):
+    """The comma-separated variable names of a ring spec: each one the
+    term grammar can write, none repeated, and none X, the variable
+    charpoly prints."""
+    names = [v.strip() for v in text.split(",")]
+    for v in names:
+        if not re.fullmatch(_NAME, v) or v == "X":
+            raise ParseError("bad variable name %r" % v)
+    if len(set(names)) < len(names):
+        raise ParseError("repeated variable name in %r" % text)
+    return names

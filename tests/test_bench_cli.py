@@ -150,7 +150,15 @@ def test_cli_usage_errors(tmp_path, capsys):
     for name, text in (("modulus.txt", "2 2 zp:1\n1 2 3 4\n"),
                        ("multivariate.txt", "1 1 zp:1[x,y]\n1\n"),
                        ("header.txt", "x 2 Z\n1 2\n"),
-                       ("quotient.txt", "1 1 zp:4[x]/1*x^2+1\n1\n")):
+                       ("quotient.txt", "1 1 zp:4[x]/1*x^2+1\n1\n"),
+                       # variable names: repeated, not writable in a term,
+                       # or the charpoly's X
+                       ("repeated.txt", "1 1 Z[x,x]\n1\n"),
+                       ("repeated-quotient.txt", "1 1 zp:7[x,x]/1*x^2+1;1*x^2+1\n1\n"),
+                       ("digit-name.txt", "1 1 Z[1]\n1\n"),
+                       ("spaced-name.txt", "1 1 Z[x y]\n1\n"),
+                       ("charpoly-var.txt", "2 2 Z[X]\n1*X^1 1\n0 1\n"),
+                       ("charpoly-var-quotient.txt", "1 1 zp:7[X]/1*X^2+1\n1\n")):
         path = tmp_path / name
         path.write_text(text)
         assert main(["det", "--in", str(path)]) == 1, name

@@ -472,7 +472,7 @@ def test_counting_ring_takes_the_literal_defaults():
 
 
 # ---------------------------------------------------------------------------
-# quotient rings: the flat form against the tower path it replaces
+# quotient rings: the flat products, reduced by the table or by _rem
 
 QUOTIENT_SPECS = (
     "zp:7[x]/1*x^3+-1",
@@ -488,9 +488,9 @@ QUOTIENT_SPECS = (
 )
 
 
-def _tower_ring(spec):
-    """The ring of spec with no flat form at any level: mul is _rem of
-    the base product, the hooks are the Ring defaults."""
+def _remainder_ring(spec):
+    """The ring of spec with no table at any level: its flat products
+    reduce by _rem, one level at a time."""
     saved, rings.FLAT_TABLE_MAX = rings.FLAT_TABLE_MAX, 0
     try:
         return ring_from_string(spec)
@@ -503,9 +503,9 @@ _QUOTIENT_PAIRS = {}
 
 def _quotient_pair(spec):
     if spec not in _QUOTIENT_PAIRS:
-        flat, tower = ring_from_string(spec), _tower_ring(spec)
-        assert flat._table is not None and tower._table is None
-        _QUOTIENT_PAIRS[spec] = flat, tower
+        flat, remainder = ring_from_string(spec), _remainder_ring(spec)
+        assert flat._table is not None and remainder._table is None
+        _QUOTIENT_PAIRS[spec] = flat, remainder
     return _QUOTIENT_PAIRS[spec]
 
 
@@ -517,21 +517,63 @@ def quotient_elements(ring):
         lambda cs: mp.from_dict(dict(zip(exps, cs)), len(ring.vars)))
 
 
+def _assert_hooks_literal(ring, a, b, c, xs, ys, order):
+    """mul against _rem of the base product, and each hook against its
+    Ring default."""
+    assert ring.mul(a, b) == ring._rem(list(ring.base.product(a, b)))
+    assert ring.product(xs, ys, order) == Ring.product(ring, xs, ys, order)
+    assert ring.dot(xs, ys) == Ring.dot(ring, xs, ys)
+    assert ring.addmul(ys, c, xs) == Ring.addmul(ring, ys, c, xs)
+    assert ring.submul(ys, c, xs) == Ring.submul(ring, ys, c, xs)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_quotient_hooks_match_the_tower_path(data):
-    flat, tower = _quotient_pair(data.draw(st.sampled_from(QUOTIENT_SPECS)))
+def test_quotient_hooks_match_the_remainder_reduction(data):
+    flat, remainder = _quotient_pair(data.draw(st.sampled_from(QUOTIENT_SPECS)))
     element = quotient_elements(flat)
     a, b, c = data.draw(element), data.draw(element), data.draw(element)
     xs = data.draw(st.lists(element, max_size=7))
     ys = data.draw(st.lists(element, max_size=7))
     order = data.draw(st.one_of(st.none(), st.integers(0, 15)))
-    assert flat.mul(a, b) == tower.mul(a, b) == flat._rem(list(flat.base.product(a, b)))
-    assert flat.product(xs, ys, order) == tower.product(xs, ys, order)
-    assert flat.product(xs, ys, order) == Ring.product(flat, xs, ys, order)
-    assert flat.dot(xs, ys) == tower.dot(xs, ys) == Ring.dot(flat, xs, ys)
-    assert flat.addmul(ys, c, xs) == tower.addmul(ys, c, xs) == Ring.addmul(flat, ys, c, xs)
-    assert flat.submul(ys, c, xs) == tower.submul(ys, c, xs) == Ring.submul(flat, ys, c, xs)
+    for ring in (flat, remainder):
+        _assert_hooks_literal(ring, a, b, c, xs, ys, order)
+
+
+# rings that ring_from_string builds past FLAT_TABLE_MAX: one level with
+# no table, and two levels with none at the top but one below (a case
+# that FLAT_TABLE_MAX = 0 cannot build)
+LARGE_QUOTIENTS = {spec: ring_from_string(spec) for spec in (
+    "zp:7[x]/1*x^363+3*x^5+-1",
+    "zp:11[x,y]/1*x^17+-3;1*y^17+-1*x^1",
+)}
+
+
+def large_quotient_elements(ring):
+    """Dense random elements, or a few monomials anywhere (zero among
+    them): drawing every coefficient would overrun hypothesis's buffer."""
+    exps = list(mp.exponents_below(ring.degrees))
+    sparse = st.dictionaries(st.sampled_from(exps), st.integers(1, ring.p - 1), max_size=4)
+    return st.one_of(st.integers(0, 2 ** 32).map(lambda seed: ring.random_element(Rng(seed))),
+                     sparse.map(lambda d: mp.from_dict(d, len(ring.vars))))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_quotient_hooks_past_the_table_bound(data):
+    ring = LARGE_QUOTIENTS[data.draw(st.sampled_from(sorted(LARGE_QUOTIENTS)))]
+    assert ring._table is None and ring.span * ring.size > rings.FLAT_TABLE_MAX
+    assert len(ring.vars) == 1 or ring.base._table is not None
+    element = large_quotient_elements(ring)
+    a, b, c = data.draw(element), data.draw(element), data.draw(element)
+    xs = data.draw(st.lists(element, max_size=3))
+    ys = data.draw(st.lists(element, max_size=3))
+    order = data.draw(st.one_of(st.none(), st.integers(0, 4)))
+    _assert_hooks_literal(ring, a, b, c, xs, ys, order)
+    # zero, empty lists and single pairs
+    zero = ring.zero
+    for xs, ys in (([], []), ([a], []), ([a], [b]), ([zero, a], [b, zero])):
+        _assert_hooks_literal(ring, a, zero, c, xs, ys, order)
 
 
 def test_quotient_hooks_on_zero_divisors_and_zero():
@@ -541,28 +583,28 @@ def test_quotient_hooks_on_zero_divisors_and_zero():
              ("zp:2[x]/1*x^4+1", (1, 0, 1), (1, 0, 1)),
              ("zp:11[x,y]/1*x^2+-3;1*y^2+-1*x^1", ((6, 1),), ((5, 1),)))
     for spec, a, b in cases:
-        flat, tower = _quotient_pair(spec)
+        flat, remainder = _quotient_pair(spec)
         zero = flat.zero
-        assert flat.mul(a, b) == tower.mul(a, b) == zero
+        assert flat.mul(a, b) == remainder.mul(a, b) == zero
         for order in (None, 0, 1, 3):
             for xs, ys in (([a], [b]), ([a, a], [b, zero]), ([zero], [a]), ([], [a]), ([a], [])):
-                want = tower.product(xs, ys, order)
+                want = remainder.product(xs, ys, order)
                 assert flat.product(xs, ys, order) == want, (spec, xs, ys, order)
                 assert want == ([] if order is None else [zero] * (order + 1))
         assert flat.dot([a, a], [b, b]) == zero
-        assert flat.addmul([a, b], a, [b, a]) == tower.addmul([a, b], a, [b, a])
+        assert flat.addmul([a, b], a, [b, a]) == remainder.addmul([a, b], a, [b, a])
+        assert flat.submul([a, b], a, [b, a]) == remainder.submul([a, b], a, [b, a])
         assert flat.submul([a], zero, [b]) == [a]
         assert flat.dot([], []) == flat.dot([a], []) == zero
 
 
 def test_large_generator_flat_path_agrees_and_is_faster():
-    # Berkowitz n=8 and 300 products over Z/7[x]/<x^64-1>: the flat form
-    # against the tower path, which takes 5-10x as long on a 2-CPU Xeon
-    # (the digest is the tower path's)
+    # Berkowitz n=8 and 300 products over Z/7[x]/<x^64-1>: flat products
+    # reduced by the table against the same reduced by _rem
     spec = "zp:7[x]/1*x^64+-1"
     case = bench.BenchCase(3, 8, 1, "", (("ideal", "1*x^64+-1"), ("p", "7"), ("vars", "x")))
     a = bench.generate_matrix(case)
-    b = a.with_ring(_tower_ring(spec), lambda x: x)
+    b = a.with_ring(_remainder_ring(spec), lambda x: x)
     rng = Rng(3)
     els = [a.ring.random_element(rng) for _ in range(301)]
 
@@ -577,13 +619,13 @@ def test_large_generator_flat_path_agrees_and_is_faster():
     def muls(ring):
         return lambda: [ring.mul(x, y) for x, y in zip(els, els[1:])]
 
-    (flat_cp, flat_s), (tower_cp, tower_s) = (best(lambda: charpoly.charpoly_berkowitz(m))
-                                              for m in (a, b))
-    assert flat_cp.digest() == tower_cp.digest() == "eb040e78043da7c9"
-    assert flat_s < tower_s
-    (flat_p, flat_s), (tower_p, tower_s) = best(muls(a.ring)), best(muls(b.ring))
-    assert flat_p == tower_p
-    assert flat_s < tower_s
+    (flat_cp, flat_s), (rem_cp, rem_s) = (best(lambda: charpoly.charpoly_berkowitz(m))
+                                          for m in (a, b))
+    assert flat_cp.digest() == rem_cp.digest() == "eb040e78043da7c9"
+    assert flat_s < rem_s
+    (flat_p, flat_s), (rem_p, rem_s) = best(muls(a.ring)), best(muls(b.ring))
+    assert flat_p == rem_p
+    assert flat_s < rem_s
 
 
 @st.composite

@@ -263,6 +263,8 @@ def parse_matrix(text):
         rows, cols = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError("matrix header: bad dimensions %r %r" % (head[0], head[1]))
+    if rows < 1 or cols < 1:
+        raise ParseError("matrix header: dimensions must be positive, got %d x %d" % (rows, cols))
     ring = ring_from_string(head[2])
     tokens = " ".join(lines[1:]).split()
     if len(tokens) != rows * cols:

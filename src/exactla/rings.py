@@ -28,15 +28,18 @@ not depend on the hooks.  addmul is the Ring default in every ring.
 IntegersMod overrides the other five (sums in C, one reduction per dot
 or entry, Kronecker substitution for products, packed rows for matmul
 and the matrix's columns packed once for krylov, in slots of 1, 2, 4 or
-8 bytes for struct, exact widths past 8); IntegerRing dot, submul and
-product, RationalField product (one Z product of the operands with
-their denominators cleared), QuotientRing dot, submul, product and mul
-(one Z/p product of flat forms and one reduction per output element;
-see its docstring).  SeriesRing overrides krylov over Z/p, Z and
-quotient rings (the block split by powers of z once per run, one base
-matmul per step), and product and submul over exactly IntegersMod (one
-bivariate Kronecker product), chosen by the type of its base alone:
-none of those bases is or holds a CountingRing.
+8 bytes for struct, exact widths past 8); IntegerRing dot, submul,
+product and krylov (a leading block more than half nonzero makes one dot
+per row, a sparser one one prefix-sum pass over its nonzeros per step,
+with the support, when given, as its column lists), RationalField
+product (one Z product of the operands with their denominators
+cleared), QuotientRing dot, submul, product and mul (one Z/p product of
+flat forms and one reduction per output element; see its docstring).
+SeriesRing overrides krylov over Z/p, Z and quotient rings (the block
+split by powers of z once per run, one base matmul per step), and
+product and submul over exactly IntegersMod (one bivariate Kronecker
+product), chosen by the type of its base alone: none of those bases is
+or holds a CountingRing.
 PolynomialRing add and sub run the literal base ops of poly.add and
 poly.sub without the list round-trips.
 
@@ -50,10 +53,13 @@ import functools
 import math
 import re
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from operator import add as _add
 from operator import mul as _mul
+from operator import sub as _sub
 
 from . import multipoly as mp
 from . import poly
@@ -259,6 +265,32 @@ class IntegerRing(Ring):
 
     def submul(self, ys, c, xs):
         return [y - c * x for y, x in zip(ys, xs)]
+
+    def krylov(self, rows, support=None):
+        """Each row's nonzero columns (the support, or found once per
+        matrix).  A run on a leading r x r block with more than r*r/2
+        nonzeros makes one dot per row; a sparser block is cut at column r
+        into flat column and value lists, and each step is one prefix sum
+        of the nonzero products, differenced at the row ends."""
+        if support is None:
+            support = [list(compress(range(len(row)), row)) for row in rows]
+        dense = Ring.krylov(self, rows)
+
+        def run(v, k):
+            r = len(v)
+            cuts = [bisect_left(js, r) for js in support[:r]]
+            if 2 * sum(cuts) > r * r:
+                return dense(v, k)
+            cols = [j for js, t in zip(support, cuts) for j in js[:t]]
+            xs = [row[j] for row, js, t in zip(rows, support, cuts) for j in js[:t]]
+            ends = list(accumulate(cuts, initial=0))
+            out, starts, ends = [v], ends[:-1], ends[1:]
+            for _ in range(k):
+                acc = list(accumulate(map(_mul, xs, map(v.__getitem__, cols)), initial=0))
+                v = list(map(_sub, map(acc.__getitem__, ends), map(acc.__getitem__, starts)))
+                out.append(v)
+            return out
+        return run
 
     def product(self, a, b, order=None):
         """Plain-int loop over the shorter operand (trailing zeros stripped)

@@ -158,12 +158,18 @@ def test_cli_usage_errors(tmp_path, capsys):
                        ("digit-name.txt", "1 1 Z[1]\n1\n"),
                        ("spaced-name.txt", "1 1 Z[x y]\n1\n"),
                        ("charpoly-var.txt", "2 2 Z[X]\n1*X^1 1\n0 1\n"),
-                       ("charpoly-var-quotient.txt", "1 1 zp:7[X]/1*X^2+1\n1\n")):
+                       ("charpoly-var-quotient.txt", "1 1 zp:7[X]/1*X^2+1\n1\n"),
+                       # rows*cols matches the entries, but a side is not positive
+                       ("negative.txt", "-1 -1 Z\n5\n"),
+                       ("negative-rect.txt", "-2 -3 Z\n1 2 3\n4 5 6\n"),
+                       ("zero-rows.txt", "0 3 Z\n")):
         path = tmp_path / name
         path.write_text(text)
         assert main(["det", "--in", str(path)]) == 1, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        if name in ("negative.txt", "negative-rect.txt", "zero-rows.txt"):
+            assert "dimensions must be positive, got %s x %s" % tuple(text.split()[:2]) in err, err
     for cfg_text in ("groups=1\nsizes=3\nalgos=nosuch\n",
                      "groups=3\nsizes=3\np=abc\n",
                      "groups=5\nsizes=4\nalgos=berkowitz\nnonzeros=abc\n"):

@@ -241,13 +241,18 @@ def _krylov_values(draw, ring):
 @st.composite
 def krylov_operator_cases(draw):
     """(ring, rows, support, runs): a square matrix over Z/m with a
-    modulus and side from KRYLOV_OPERATOR_WIDTHS, or over a series ring;
-    its support or None; and one run (v, k) on each leading block
-    r = 0..n, k from 0 to 2r+1, v sometimes zero."""
-    if draw(st.booleans()):
+    modulus and side from KRYLOV_OPERATOR_WIDTHS, over Z of side 1..12
+    (all-zero, mostly-zero and dense draws reach both sides of Z's
+    density rule), or over a series ring; its support or None; and one
+    run (v, k) on each leading block r = 0..n, k from 0 to 2r+1, v
+    sometimes zero."""
+    kind = draw(st.sampled_from(("zp", "Z", "series")))
+    if kind == "zp":
         m, n, width = draw(st.sampled_from(KRYLOV_OPERATOR_WIDTHS))
         assert rings._slot_format(n * (m - 1) ** 2)[0] == width
         ring = IntegersMod(m)
+    elif kind == "Z":
+        ring, n = ZZ, draw(st.integers(1, 12))
     else:
         ring = SeriesRing(ring_from_string(draw(st.sampled_from(KRYLOV_SERIES_BASES))),
                           draw(st.integers(1, 4)))
@@ -277,6 +282,34 @@ def test_krylov_operator_matches_the_default_on_every_leading_block(case):
         r = len(v)
         want = Ring.krylov(ring, [row[:r] for row in rows[:r]])(v, k)
         assert run(v, k) == literal(v, k) == dense(v, k) == want, (r, k)
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_integer_krylov_at_half_density_and_empty_runs(extra):
+    # the leading 4x4 block holds exactly 8 nonzeros, at the density rule's
+    # edge (the flat pass), or 9 with extra (one dot per row)
+    rows = [[1, 0, -2, 0, 5], [0, 3, 0, -4, 0], [2 ** 70, 0, -6, 0, 1], [0, 7, 0, 8, 0],
+            [9, 9, 9, 9, 9]]
+    rows[3][0] = -5 if extra else 0
+    v = [3, -1, 2 ** 65, 4]
+    for support in (None, [[j for j, x in enumerate(row) if x] for row in rows]):
+        run = ZZ.krylov(rows, support)
+        assert run(v, 6) == Ring.krylov(ZZ, [row[:4] for row in rows[:4]])(v, 6)
+        assert run(v, 0) == [v]
+        assert run([], 3) == [[]] * 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_krylov_on_every_leading_block_of_a_group5_matrix(seed):
+    # 2n nonzeros in n x n: most leading blocks take the flat pass, with
+    # nonzeros past column r in their rows that a run must not read
+    rows = bench.generate_matrix(bench.BenchCase(5, 12, seed)).to_rows()
+    rng = Rng(seed)
+    for support in (None, [[j for j, x in enumerate(row) if x] for row in rows]):
+        run = ZZ.krylov(rows, support)
+        for r in range(13):
+            v = [rng.int_between(-2 ** 70, 2 ** 70) for _ in range(r)]
+            assert run(v, r + 1) == Ring.krylov(ZZ, [row[:r] for row in rows[:r]])(v, r + 1), r
 
 
 def test_series_dot_counts_the_literal_stream_over_a_counted_tower():
@@ -740,8 +773,9 @@ def test_counted_kaltofen_is_pinned(spec, n, stats, max_bits, digest):
 
 
 # counted Krylov loops, pinned to the per-row dots they ran before the
-# krylov hook: OpStats and max_bits (the dense loops on random matrices,
-# the sparse-aware ones on a group-5 bench matrix), and each result
+# krylov hook: OpStats and max_bits (the dense loops on random matrices
+# and, multiplying every zero, on a group-5 bench matrix; the sparse-aware
+# ones on the same group-5 matrix), and each result
 KRYLOV_ALGOS = {
     "berkowitz": lambda a: charpoly.charpoly_berkowitz(a).digest(),
     "berkowitz_sparse": lambda a: charpoly.charpoly_berkowitz(a, sparse_aware=True).digest(),
@@ -762,6 +796,8 @@ KRYLOV_PINS = (
     ("frobenius_simple", "Z", 5, OpStats(80, 30, 150, 0, 24), 47, "a99bbbe80948420e"),
     ("wiedemann", "zp:10007", 9, OpStats(1404, 387, 1972, 19, 0), 14,
      [8660, 9807, 2644, 1057, 3868, 4073, 8857, 1583, 9054, 1]),
+    ("berkowitz", "group5", 14, OpStats(8008, 0, 8944, 0, 0), 82, "cde2f5e0ebb7b607"),
+    ("chistov", "group5", 14, OpStats(14599, 0, 16331, 1, 0), 118, "cde2f5e0ebb7b607"),
 )
 
 

@@ -92,6 +92,8 @@ def generate_matrix(case):
     except ValueError:
         raise InvalidGroupParams("group-5 nonzeros must be an integer, got %r"
                                  % (case.param("nonzeros"),))
+    if nonzeros < 0:
+        raise InvalidGroupParams("group-5 nonzeros must not be negative, got %d" % nonzeros)
     entries = [0] * (n * n)
     placed = 0
     while placed < min(nonzeros, n * n):

@@ -14,7 +14,7 @@ from .elimination import (EchelonBasis, _jorbarsol_rows, det_field,
 from .errors import (NOT_A_UNIT, AdjointVanishes, ExactDivisionFailed,
                      IntegerNotInvertible)
 from .matrix import DenseMatrix, mat_mul
-from .rings import QQ, ZZ, FractionField, PolynomialRing, Ring, SeriesRing, support_dot
+from .rings import QQ, ZZ, FractionField, PolynomialRing, Ring, SeriesRing
 
 
 class CharPoly:
@@ -77,14 +77,17 @@ def charpoly_berkowitz(a, sparse_aware=False):
     rows = a.to_rows()
     neg_one = ring.neg(ring.one)
     v = [neg_one, rows[0][0]]
-    if n == 1:
-        return CharPoly(ring, v)
     support = _support(ring, rows) if sparse_aware else None
     krylov = ring.krylov(rows, support)
     for r in range(2, n + 1):
         m = r - 1
-        tail = [support_dot(ring, rows[m], x, support[m]) if sparse_aware else ring.dot(rows[m], x)
-                for x in krylov([rows[i][m] for i in range(m)], m - 1)]
+        iterates = krylov([rows[i][m] for i in range(m)], m - 1)
+        # row m's nonzeros below column m, and each iterate's there (one pair: one mul)
+        js = None if support is None else [j for j in support[m] if j < m]
+        xs = rows[m] if js is None else list(map(rows[m].__getitem__, js))
+        tail = ([ring.dot(xs, x if js is None else list(map(x.__getitem__, js))) for x in iterates]
+                if js is None or len(js) > 1 else
+                [ring.mul(xs[0], x[js[0]]) if js else ring.zero for x in iterates])
         c = [None, neg_one, rows[m][m]] + tail
         # Toeplitz times vector: entry i is the sum of c[i+1-j]*v[j-1], j = 1..min(r, i)
         v = [ring.dot(c[i:max(i - r, 0):-1], v) for i in range(1, r + 2)]
@@ -92,7 +95,9 @@ def charpoly_berkowitz(a, sparse_aware=False):
 
 
 def _support(ring, rows):
-    return [[k for k, x in enumerate(row) if not ring.is_zero(x)] for row in rows]
+    """Each row's nonzero columns; None if there is no zero (the dense loops are the same)."""
+    support = [[k for k, x in enumerate(row) if not ring.is_zero(x)] for row in rows]
+    return None if sum(map(len, support)) == len(rows) ** 2 else support
 
 
 # ---------------------------------------------------------------------------

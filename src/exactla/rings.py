@@ -20,7 +20,7 @@ for their inner loops:
     matmul(a_rows, b_rows) matrix product of two lists of rows, one dot
                            per entry
     krylov(rows, support)  run(v, k): [v, Av, ..., A^k v], A the leading
-                           len(v) block, one dot or support_dot per entry
+                           len(v) block, one dot per entry (over a support)
 
 The Ring defaults are the literal scalar loops, op for op, and they are
 all a CountingRing has, so counted op streams, max_bits and digests do
@@ -29,9 +29,9 @@ IntegersMod overrides the other five (sums in C, one reduction per dot
 or entry, Kronecker substitution for products, packed rows for matmul
 and the matrix's columns packed once for krylov, in slots of 1, 2, 4 or
 8 bytes for struct, exact widths past 8); IntegerRing dot, submul,
-product and krylov (a leading block more than half nonzero makes one dot
-per row, a sparser one one prefix-sum pass over its nonzeros per step,
-with the support, when given, as its column lists), RationalField
+product and krylov (chosen once per matrix: one more than half nonzero
+takes the Ring default without a support, a sparser one makes one
+prefix-sum pass over a block's nonzeros per step), RationalField
 product (one Z product of the operands with their denominators
 cleared), QuotientRing dot, submul, product and mul (one Z/p product of
 flat forms and one reduction per output element; see its docstring).
@@ -184,14 +184,20 @@ class Ring:
         return [[dot(row, col) for col in cols] for row in a_rows]
 
     def krylov(self, rows, support=None):
-        # every dot stops at len(v), so the block's rows need no slicing
-        dot = self.dot
+        # with a support, a run gathers each row's entries below len(v) once, and
+        # each step v at their columns (a one-pair dot is its mul; none, zero)
+        dot, mul, zero = self.dot, self.mul, self.zero
 
         def run(v, k):
             out, block = [v], rows[:len(v)]
+            if support is not None:
+                cols = [js[:bisect_left(js, len(v))] for js in support[:len(v)]]
+                xs = [list(map(row.__getitem__, js)) for row, js in zip(block, cols)]
             for _ in range(k):
+                get = v.__getitem__
                 v = ([dot(row, v) for row in block] if support is None else
-                     [support_dot(self, row, v, cols) for row, cols in zip(block, support)])
+                     [dot(x, list(map(get, js))) if len(js) > 1 else mul(x[0], get(js[0])) if js
+                      else zero for x, js in zip(xs, cols)])
                 out.append(v)
             return out
         return run
@@ -208,18 +214,6 @@ class Ring:
 
     def __repr__(self):
         return "<ring %s>" % self.name
-
-
-def support_dot(ring, row, v, cols):
-    """row . v over the columns cols (ascending) below len(v): a scalar
-    loop, as a sparse row holds too few nonzeros to pay for a bulk call."""
-    acc = None
-    for k in cols:
-        if k >= len(v):
-            break
-        t = ring.mul(row[k], v[k])
-        acc = t if acc is None else ring.add(acc, t)
-    return ring.zero if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +261,19 @@ class IntegerRing(Ring):
         return [y - c * x for y, x in zip(ys, xs)]
 
     def krylov(self, rows, support=None):
-        """Each row's nonzero columns (the support, or found once per
-        matrix).  A run on a leading r x r block with more than r*r/2
-        nonzeros makes one dot per row; a sparser block is cut at column r
-        into flat column and value lists, and each step is one prefix sum
-        of the nonzero products, differenced at the row ends."""
-        if support is None:
-            support = [list(compress(range(len(row)), row)) for row in rows]
-        dense = Ring.krylov(self, rows)
+        """Chosen once per matrix: more than n*n/2 nonzeros in n x n takes the
+        Ring default with no support (one dot per row).  Otherwise a run on
+        the leading r x r block cuts each row's nonzero columns (the support,
+        or found here) at r into flat column and value lists, and each step
+        is one prefix sum of the nonzero products, differenced at the row ends."""
+        n = len(rows)
+        if 2 * sum(n - row.count(0) for row in rows) > n * n:
+            return Ring.krylov(self, rows)
+        support = support or [list(compress(range(n), row)) for row in rows]
 
         def run(v, k):
             r = len(v)
             cuts = [bisect_left(js, r) for js in support[:r]]
-            if 2 * sum(cuts) > r * r:
-                return dense(v, k)
             cols = [j for js, t in zip(support, cuts) for j in js[:t]]
             xs = [row[j] for row, js, t in zip(rows, support, cuts) for j in js[:t]]
             ends = list(accumulate(cuts, initial=0))

@@ -172,13 +172,16 @@ def test_cli_usage_errors(tmp_path, capsys):
             assert "dimensions must be positive, got %s x %s" % tuple(text.split()[:2]) in err, err
     for cfg_text in ("groups=1\nsizes=3\nalgos=nosuch\n",
                      "groups=3\nsizes=3\np=abc\n",
-                     "groups=5\nsizes=4\nalgos=berkowitz\nnonzeros=abc\n"):
+                     "groups=5\nsizes=4\nalgos=berkowitz\nnonzeros=abc\n",
+                     "groups=5\nsizes=3\nnonzeros=-5\n"):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(cfg_text)
         assert main(["bench", "--config", str(cfg), "--out-csv", str(tmp_path / "o.csv"),
                      "--out-md", str(tmp_path / "o.md")]) == 1, cfg_text
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (cfg_text, err)
+        if "nonzeros=-5" in cfg_text:
+            assert "got -5" in err, err
 
 
 def test_bench_leaves_out_cases_the_counted_ring_cannot_run(tmp_path, capsys):

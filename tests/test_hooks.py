@@ -232,6 +232,10 @@ def _krylov_values(draw, ring):
         value = draw(st.sampled_from((st.integers(0, m - 1), st.integers(-3 * m, 3 * m))))
     elif ring is ZZ:
         value = st.integers(-2 ** 70, 2 ** 70)
+    elif ring is QQ:
+        value = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40), st.sampled_from((1, 3, 2 ** 41)))
+    elif ring._table is None:
+        value = large_quotient_elements(ring)
     else:
         value = quotient_elements(ring)
     zero = st.just(ring.zero)
@@ -243,16 +247,23 @@ def krylov_operator_cases(draw):
     """(ring, rows, support, runs): a square matrix over Z/m with a
     modulus and side from KRYLOV_OPERATOR_WIDTHS, over Z of side 1..12
     (all-zero, mostly-zero and dense draws reach both sides of Z's
-    density rule), or over a series ring; its support or None; and one
-    run (v, k) on each leading block r = 0..n, k from 0 to 2r+1, v
-    sometimes zero."""
-    kind = draw(st.sampled_from(("zp", "Z", "series")))
+    density rule), over Q, over a quotient ring with a table or one past
+    FLAT_TABLE_MAX (the Ring default over a native dot), or over a series
+    ring; its support or None; and one run (v, k) on each leading block
+    r = 0..n, k from 0 to 2r+1, v sometimes zero."""
+    kind = draw(st.sampled_from(("zp", "Z", "Q", "quotient", "series")))
     if kind == "zp":
         m, n, width = draw(st.sampled_from(KRYLOV_OPERATOR_WIDTHS))
         assert rings._slot_format(n * (m - 1) ** 2)[0] == width
         ring = IntegersMod(m)
     elif kind == "Z":
         ring, n = ZZ, draw(st.integers(1, 12))
+    elif kind == "Q":
+        ring, n = QQ, draw(st.integers(1, 8))
+    elif kind == "quotient":
+        ring = draw(st.sampled_from((_quotient_pair(QUOTIENT_SPECS[1])[0],
+                                     LARGE_QUOTIENTS["zp:7[x]/1*x^363+3*x^5+-1"])))
+        n = draw(st.integers(1, 6 if ring._table is not None else 3))
     else:
         ring = SeriesRing(ring_from_string(draw(st.sampled_from(KRYLOV_SERIES_BASES))),
                           draw(st.integers(1, 4)))
@@ -286,15 +297,18 @@ def test_krylov_operator_matches_the_default_on_every_leading_block(case):
 
 @pytest.mark.parametrize("extra", [False, True])
 def test_integer_krylov_at_half_density_and_empty_runs(extra):
-    # the leading 4x4 block holds exactly 8 nonzeros, at the density rule's
-    # edge (the flat pass), or 9 with extra (one dot per row)
-    rows = [[1, 0, -2, 0, 5], [0, 3, 0, -4, 0], [2 ** 70, 0, -6, 0, 1], [0, 7, 0, 8, 0],
-            [9, 9, 9, 9, 9]]
+    # Z picks its path once per matrix: this 4x4 matrix holds exactly 8
+    # nonzeros, at the density rule's edge (the flat pass, with or without
+    # a support), or 9 with extra (the Ring default, support or not)
+    rows = [[1, 0, -2, 0], [0, 3, 0, -4], [2 ** 70, 0, -6, 0], [0, 7, 0, 8]]
     rows[3][0] = -5 if extra else 0
+    owner = Ring if extra else rings.IntegerRing
     v = [3, -1, 2 ** 65, 4]
     for support in (None, [[j for j, x in enumerate(row) if x] for row in rows]):
         run = ZZ.krylov(rows, support)
-        assert run(v, 6) == Ring.krylov(ZZ, [row[:4] for row in rows[:4]])(v, 6)
+        assert run.__qualname__ == owner.krylov.__qualname__ + ".<locals>.run"
+        for r in range(5):
+            assert run(v[:r], 6) == Ring.krylov(ZZ, [row[:r] for row in rows[:r]])(v[:r], 6), r
         assert run(v, 0) == [v]
         assert run([], 3) == [[]] * 4
 
@@ -310,6 +324,53 @@ def test_integer_krylov_on_every_leading_block_of_a_group5_matrix(seed):
         for r in range(13):
             v = [rng.int_between(-2 ** 70, 2 ** 70) for _ in range(r)]
             assert run(v, r + 1) == Ring.krylov(ZZ, [row[:r] for row in rows[:r]])(v, r + 1), r
+
+
+def _support_dot(ring, row, v, cols):
+    """row . v over the columns cols (ascending) below len(v), one scalar
+    mul and add at a time: the loop that the support path of the Ring
+    krylov default replaced, kept as its oracle."""
+    acc = None
+    for k in cols:
+        if k >= len(v):
+            break
+        t = ring.mul(row[k], v[k])
+        acc = t if acc is None else ring.add(acc, t)
+    return ring.zero if acc is None else acc
+
+
+# a 5x5 support: an empty row, rows with nonzeros at and past every r
+# (column r is the first a run on the leading r x r block must not read),
+# a full row and a lone entry
+SUPPORT_PATTERN = ("x.x.x", ".....", "xx..x", "...xx", "x.xxx")
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "zp:7", "Z[x]", "zp:7[x]/1*x^3+-1"])
+def test_krylov_support_runs_count_the_scalar_loop(spec):
+    # on a counted ring the gathered dots of the Ring default make the
+    # muls and adds of the scalar loop, on the same values in the same
+    # order: equal iterates, OpStats and max_bits on every leading block
+    inner, rng = ring_from_string(spec), Rng(11)
+
+    def nonzero():
+        while True:
+            x = inner.random_element(rng)
+            if not inner.is_zero(x):
+                return x
+    rows = [[nonzero() if c == "x" else inner.zero for c in p] for p in SUPPORT_PATTERN]
+    support = [[j for j, c in enumerate(p) if c == "x"] for p in SUPPORT_PATTERN]
+    v = [nonzero() for _ in range(5)]
+    for r in range(6):
+        for k in (0, 1, r + 1):
+            got, want = CountingRing(inner, track_bits=True), CountingRing(inner, track_bits=True)
+            iterates = got.krylov(rows, support)(v[:r], k)
+            w, literal = v[:r], [v[:r]]
+            for _ in range(k):
+                w = [_support_dot(want, row, w, cols) for row, cols in zip(rows[:r], support)]
+                literal.append(w)
+            assert iterates == literal, (r, k)
+            assert (got.stats, got.max_bits) == (want.stats, want.max_bits), (r, k)
+            assert (got.stats.muls > 0) == (k > 0 and r > 0), (r, k)
 
 
 def test_series_dot_counts_the_literal_stream_over_a_counted_tower():

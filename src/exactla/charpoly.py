@@ -496,13 +496,14 @@ def frobenius_block_polynomials(a):
         start = len(basis)
         for i in range(seed_from, n):
             v = [field.one if k == i else field.zero for k in range(n)]
-            if basis.insert(v):
+            if basis.insert(v) is None:
                 seed_from = i + 1
                 break
         while True:
             v = krylov(v, 1)[1]
-            if not basis.insert(v):
-                tails.append(basis.express(v)[start:])
+            y = basis.insert(v)
+            if y is not None:
+                tails.append(y[start:])
                 break
     return [[back(field.neg(t)) for t in tail] + [back(field.one)] for tail in tails]
 

@@ -366,12 +366,12 @@ def _jorbarsol_rows(ring, w, skip_first_pivot):
 class EchelonBasis:
     """Incremental row echelon basis over a field.
 
-    insert(v) adds v when it is independent of the vectors inserted so
-    far; express(v) gives the coefficients of v in the inserted vectors,
-    in insertion order, or None when v is independent.  Each stored row
-    is a vector reduced against the earlier rows, kept with the
-    combination of inserted vectors it equals, so one vector costs one
-    pass over the rows instead of an elimination from scratch.
+    express(v) gives the coefficients of v in the inserted vectors, in
+    insertion order, or None when v is independent; insert(v) adds an
+    independent v and returns None, or returns express(v) from its one
+    reduction.  Each stored row is a vector reduced against the earlier
+    rows, kept with the combination of inserted vectors it equals, so a
+    vector costs one pass over the rows, not an elimination from scratch.
     """
 
     def __init__(self, field):
@@ -400,14 +400,15 @@ class EchelonBasis:
         return r, y
 
     def insert(self, v):
-        """Add v if it is independent of the basis; returns whether it was."""
+        """Add v if it is independent of the basis and return None; else
+        return its coefficients in the inserted vectors."""
         f = self.field
         r, y = self._reduce(v)
         for col, x in enumerate(r):
             if not f.is_zero(x):
                 self.rows.append((col, r, [f.neg(t) for t in y] + [f.one]))
-                return True
-        return False
+                return None
+        return y
 
     def express(self, v):
         """Coefficients of v in the inserted vectors, or None if independent."""

@@ -21,17 +21,22 @@ def strip(ring, coeffs):
 def add(ring, a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = ring.add(out[i], c)
-    return strip(ring, out)
+    out = list(map(ring.add, a, b))
+    out += a[len(b):]
+    while out and ring.is_zero(out[-1]):
+        out.pop()
+    return out
 
 
 def sub(ring, a, b):
-    out = list(a) + [ring.zero] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = ring.sub(out[i], c)
-    return strip(ring, out)
+    out = list(map(ring.sub, a, b))
+    if len(b) > len(a):
+        out += [ring.sub(ring.zero, c) for c in b[len(a):]]
+    else:
+        out += a[len(b):]
+    while out and ring.is_zero(out[-1]):
+        out.pop()
+    return out
 
 
 def scale(ring, a, c):

@@ -40,13 +40,12 @@ split by powers of z once per run, one base matmul per step), and
 product and submul over exactly IntegersMod (one bivariate Kronecker
 product), chosen by the type of its base alone: none of those bases is
 or holds a CountingRing.
-PolynomialRing add and sub run the literal base ops of poly.add and
-poly.sub without the list round-trips.
 
 Elements are plain Python values (ints, Fractions, tuples) and are
 immutable by convention; rings are stateless except for CountingRing.
 Multivariate polynomials and triangular quotients are towers of the
-univariate PolynomialRing, with nested dense tuples as elements.
+univariate PolynomialRing, with nested dense tuples as elements; add and
+sub at every level are poly.add and poly.sub.
 """
 
 import functools
@@ -767,30 +766,11 @@ class PolynomialRing(Ring):
     def from_base(self, c):
         return () if self.base.is_zero(c) else (c,)
 
-    # add and sub run poly.add and poly.sub's base ops in their order
-    # (sub(zero, c) for each extra term of a longer b), then strip the top
-
     def add(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(map(self.base.add, a, b))
-        out += a[len(b):]
-        return self._strip(out)
+        return tuple(poly.add(self.base, a, b))
 
     def sub(self, a, b):
-        base = self.base
-        out = list(map(base.sub, a, b))
-        if len(b) > len(a):
-            out += [base.sub(base.zero, c) for c in b[len(a):]]
-        else:
-            out += a[len(b):]
-        return self._strip(out)
-
-    def _strip(self, out):
-        is_zero = self.base.is_zero
-        while out and is_zero(out[-1]):
-            out.pop()
-        return tuple(out)
+        return tuple(poly.sub(self.base, a, b))
 
     def mul(self, a, b):
         return tuple(self.base.product(a, b))
@@ -801,7 +781,7 @@ class PolynomialRing(Ring):
     def exact_div(self, a, b):
         if not b:
             raise ZeroDivisor("exact division by zero polynomial")
-        return tuple(poly.exact_div_poly(self.base, list(a), list(b)))
+        return tuple(poly.exact_div_poly(self.base, a, b))
 
     def div_by_int(self, a, k):
         if not a:       # vet k as for a nonzero a, without counting an op

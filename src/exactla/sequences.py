@@ -61,12 +61,12 @@ def hankel_minpoly(ring, terms, bound):
     if all(ring.is_zero(t) for t in terms):
         raise ZeroSequence("all sampled terms are zero")
     rows = EchelonBasis(ring)
-    d = sum(rows.insert(terms[i:i + p]) for i in range(p))
+    d = sum(rows.insert(terms[i:i + p]) is None for i in range(p))
     if d == 0:
         raise SingularHankelSystem("rank 0 for a nonzero sequence")
     # H_{0,d,d} g = (a_d .. a_{2d-1}): the right side in the columns of H
     cols = EchelonBasis(ring)
-    if not all(cols.insert(terms[j:j + d]) for j in range(d)):
+    if not all(cols.insert(terms[j:j + d]) is None for j in range(d)):
         raise SingularHankelSystem("leading Hankel block is singular")
     g = cols.express(terms[d:2 * d])
     return [ring.neg(x) for x in g] + [ring.one]

@@ -11,7 +11,7 @@ from exactla.elimination import (EchelonBasis, bunch_hopcroft, det_field,
                                  det_fraction_free, dodgson_hankel, gauss_lu,
                                  jordan_bareiss, jorbarsol, lup_surjective)
 from test_pinv import _gauss_rank
-from exactla.errors import NotSurjective, ZeroConnectedMinor
+from exactla.errors import ExactDivisionFailed, NotSurjective, ZeroConnectedMinor
 from exactla.matrix import DenseMatrix, mat_mul
 from exactla.rings import QQ, ZZ, IntegersMod
 
@@ -108,6 +108,14 @@ def test_jordan_bareiss_book_row():
     t = jordan_bareiss(a)
     assert t.matrix.row(1)[:3] == [21, 5055, 1433]
     assert t.rank_detected == 4
+
+
+def test_division_by_a_zero_divisor_is_exact_division_failed():
+    z12 = IntegersMod(12)
+    for decompose, rows in ((gauss_lu, [[2, 1], [1, 1]]),
+                            (jordan_bareiss, [[2, 1, 1], [1, 1, 1], [1, 3, 1]])):
+        with pytest.raises(ExactDivisionFailed, match="2 is a zero divisor mod 12"):
+            decompose(DenseMatrix.from_rows(z12, rows))
 
 
 def test_jordan_bareiss_entries_are_bordered_minors(rng):
@@ -242,7 +250,7 @@ def test_echelon_basis_matches_gauss(case):
     for v in rows:
         want = _express_vec(ring, inserted, v)
         assert basis.express(v) == want
-        assert basis.insert(v) == (want is None)
+        assert basis.insert(v) == want
         if want is None:
             inserted.append(v)
         assert basis.express(v) == _express_vec(ring, inserted, v)

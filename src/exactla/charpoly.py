@@ -77,13 +77,14 @@ def charpoly_berkowitz(a, sparse_aware=False):
     rows = a.to_rows()
     neg_one = ring.neg(ring.one)
     v = [neg_one, rows[0][0]]
-    support = _support(ring, rows) if sparse_aware else None
-    krylov = ring.krylov(rows, support)
+    krylov = ring.krylov(rows, sparse_aware)
     for r in range(2, n + 1):
         m = r - 1
         iterates = krylov([rows[i][m] for i in range(m)], m - 1)
-        # row m's nonzeros below column m, and each iterate's there (one pair: one mul)
-        js = None if support is None else [j for j in support[m] if j < m]
+        # sparse-aware: row m's nonzeros below column m, and each iterate's there
+        # (one pair: one mul); the dense dot when none of them is zero
+        js = [j for j in range(m) if not ring.is_zero(rows[m][j])] if sparse_aware else range(m)
+        js = None if len(js) == m else js
         xs = rows[m] if js is None else list(map(rows[m].__getitem__, js))
         tail = ([ring.dot(xs, x if js is None else list(map(x.__getitem__, js))) for x in iterates]
                 if js is None or len(js) > 1 else
@@ -92,12 +93,6 @@ def charpoly_berkowitz(a, sparse_aware=False):
         # Toeplitz times vector: entry i is the sum of c[i+1-j]*v[j-1], j = 1..min(r, i)
         v = [ring.dot(c[i:max(i - r, 0):-1], v) for i in range(1, r + 2)]
     return CharPoly(ring, v)
-
-
-def _support(ring, rows):
-    """Each row's nonzero columns; None if there is no zero (the dense loops are the same)."""
-    support = [[k for k, x in enumerate(row) if not ring.is_zero(x)] for row in rows]
-    return None if sum(map(len, support)) == len(rows) ** 2 else support
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +107,7 @@ def chistov_diagonal_series(a, sparse_aware=False):
     ring = a.ring
     n = a.rows
     rows = a.to_rows()
-    krylov = ring.krylov(rows, _support(ring, rows) if sparse_aware else None)
+    krylov = ring.krylov(rows, sparse_aware)
     out = []
     for r in range(1, n + 1):
         v = [ring.zero] * r

@@ -19,8 +19,8 @@ for their inner loops:
                            the series product mod z^(order+1)
     matmul(a_rows, b_rows) matrix product of two lists of rows, one dot
                            per entry
-    krylov(rows, support)  run(v, k): [v, Av, ..., A^k v], A the leading
-                           len(v) block, one dot per entry (over a support)
+    krylov(rows, sparse)   run(v, k): [v, Av, ..., A^k v], A the leading
+                           len(v) block, one dot per entry (sparse: over nonzeros)
 
 The Ring defaults are the literal scalar loops, op for op, and they are
 all a CountingRing has, so counted op streams, max_bits and digests do
@@ -30,8 +30,8 @@ or entry, Kronecker substitution for products, packed rows for matmul
 and the matrix's columns packed once for krylov, in slots of 1, 2, 4 or
 8 bytes for struct, exact widths past 8); IntegerRing dot, submul,
 product and krylov (chosen once per matrix: one more than half nonzero
-takes the Ring default without a support, a sparser one makes one
-prefix-sum pass over a block's nonzeros per step), RationalField
+takes the dense Ring default, a sparser one makes one prefix-sum pass
+over a block's nonzeros per step), RationalField
 product (one Z product of the operands with their denominators
 cleared), QuotientRing dot, submul, product and mul (one Z/p product of
 flat forms and one reduction per output element; see its docstring).
@@ -117,10 +117,10 @@ class Ring:
         return a == b
 
     def is_zero(self, a):
-        return self.eq(a, self.zero)
+        return a == self.zero
 
     def is_one(self, a):
-        return self.eq(a, self.one)
+        return a == self.one
 
     def div(self, a, b):
         raise NotDivisible("%s is not a field" % self.name)
@@ -182,19 +182,22 @@ class Ring:
         cols = list(zip(*b_rows))
         return [[dot(row, col) for col in cols] for row in a_rows]
 
-    def krylov(self, rows, support=None):
-        # with a support, a run gathers each row's entries below len(v) once, and
-        # each step v at their columns (a one-pair dot is its mul; none, zero)
+    def krylov(self, rows, sparse=False):
+        # sparse and a zero in the matrix: a run gathers each row's nonzeros below
+        # len(v) once, and each step v at their columns (one pair: its mul; none: zero)
         dot, mul, zero = self.dot, self.mul, self.zero
+        support = sparse and [[j for j, x in enumerate(row) if not self.is_zero(x)] for row in rows]
+        if support and sum(map(len, support)) == len(rows) ** 2:
+            support = None
 
         def run(v, k):
             out, block = [v], rows[:len(v)]
-            if support is not None:
+            if support:
                 cols = [js[:bisect_left(js, len(v))] for js in support[:len(v)]]
                 xs = [list(map(row.__getitem__, js)) for row, js in zip(block, cols)]
             for _ in range(k):
                 get = v.__getitem__
-                v = ([dot(row, v) for row in block] if support is None else
+                v = ([dot(row, v) for row in block] if not support else
                      [dot(x, list(map(get, js))) if len(js) > 1 else mul(x[0], get(js[0])) if js
                       else zero for x, js in zip(xs, cols)])
                 out.append(v)
@@ -259,16 +262,16 @@ class IntegerRing(Ring):
     def submul(self, ys, c, xs):
         return [y - c * x for y, x in zip(ys, xs)]
 
-    def krylov(self, rows, support=None):
+    def krylov(self, rows, sparse=False):
         """Chosen once per matrix: more than n*n/2 nonzeros in n x n takes the
-        Ring default with no support (one dot per row).  Otherwise a run on
-        the leading r x r block cuts each row's nonzero columns (the support,
-        or found here) at r into flat column and value lists, and each step
-        is one prefix sum of the nonzero products, differenced at the row ends."""
+        dense Ring default (one dot per row).  Otherwise a run on the leading
+        r x r block cuts each row's nonzero columns at r into flat column and
+        value lists, and each step is one prefix sum of the nonzero products,
+        differenced at the row ends."""
         n = len(rows)
         if 2 * sum(n - row.count(0) for row in rows) > n * n:
             return Ring.krylov(self, rows)
-        support = support or [list(compress(range(n), row)) for row in rows]
+        support = [list(compress(range(n), row)) for row in rows]
 
         def run(v, k):
             r = len(v)
@@ -532,12 +535,11 @@ class IntegersMod(Ring):
                             width, code, cols, m)
                 for row in a_rows]
 
-    def krylov(self, rows, support=None):
+    def krylov(self, rows, sparse=False):
         """Each column reduced and packed once, in slots wide enough for
         any entry of a product; a run on the leading r x r block masks r
         columns to r slots, and each step is one sum of (entry of v) *
-        (masked column).  The support is ignored: it only names the
-        zero products that the scalar default skips."""
+        (masked column)."""
         m = self.m
         width, code = _slot_format(len(rows) * (m - 1) ** 2)
         cols = [_residue_slots(col, m, width, code) for col in zip(*rows)]
@@ -1438,14 +1440,13 @@ class SeriesRing(Ring):
     def mul(self, a, b):
         return tuple(self.base.product(a, b, self.order))
 
-    def krylov(self, rows, support=None):
+    def krylov(self, rows, sparse=False):
         """Each run splits its leading block A by powers of z once for all
         k steps: with d the largest z-degree in A, [A_0 | ... | A_d] times,
         at each step, the coefficient vectors of v shifted by z^0..z^d
-        stacked, one base.matmul (d = 1 for Kaltofen's C + z(A - C)).
-        There a support is ignored, as over Z/p."""
+        stacked, one base.matmul (d = 1 for Kaltofen's C + z(A - C))."""
         if not self._split:
-            return Ring.krylov(self, rows, support)
+            return Ring.krylov(self, rows, sparse)
         zero, n = self.zero, self.order + 1
 
         def run(v, k):

@@ -170,6 +170,15 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
         if name in ("negative.txt", "negative-rect.txt", "zero-rows.txt"):
             assert "dimensions must be positive, got %s x %s" % tuple(text.split()[:2]) in err, err
+    # a well-formed matrix of the wrong shape or ring: one stderr line, no stdout
+    rect, q = tmp_path / "rect.txt", tmp_path / "q.txt"
+    rect.write_text("2 3 Z\n1 2 3\n4 5 6\n")
+    q.write_text("2 2 Q\n1/2 1\n0 3\n")
+    for argv, err in ((["charpoly", "--in", str(rect)], "charpoly needs a square matrix"),
+                      (["det", "--in", str(rect)], "det needs a square matrix"),
+                      (["det", "--modular", "--in", str(q)], "--modular needs an integer matrix")):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", "error: %s\n" % err), argv
     for cfg_text in ("groups=1\nsizes=3\nalgos=nosuch\n",
                      "groups=3\nsizes=3\np=abc\n",
                      "groups=5\nsizes=4\nalgos=berkowitz\nnonzeros=abc\n",

@@ -11,7 +11,8 @@ from exactla.elimination import (EchelonBasis, bunch_hopcroft, det_field,
                                  det_fraction_free, dodgson_hankel, gauss_lu,
                                  jordan_bareiss, jorbarsol, lup_surjective)
 from test_pinv import _gauss_rank
-from exactla.errors import ExactDivisionFailed, NotSurjective, ZeroConnectedMinor
+from exactla.errors import (DimensionMismatch, ExactDivisionFailed, NotSurjective,
+                            ZeroConnectedMinor)
 from exactla.matrix import DenseMatrix, mat_mul
 from exactla.rings import QQ, ZZ, IntegersMod
 
@@ -101,6 +102,10 @@ def test_jordan_bareiss_identity():
     t = jordan_bareiss(i4)
     assert t.matrix.eq(i4)
     assert t.determinant() == 1
+    singular = DenseMatrix.from_rows(ZZ, [[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    assert jordan_bareiss(singular).determinant() == 0
+    with pytest.raises(DimensionMismatch):
+        jordan_bareiss(DenseMatrix.from_rows(ZZ, [[1, 2, 3], [2, 4, 6]])).determinant()
 
 
 def test_jordan_bareiss_book_row():

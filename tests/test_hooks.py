@@ -244,12 +244,12 @@ def _krylov_values(draw, ring):
 
 @st.composite
 def krylov_operator_cases(draw):
-    """(ring, rows, support, runs): a square matrix over Z/m with a
+    """(ring, rows, sparse, runs): a square matrix over Z/m with a
     modulus and side from KRYLOV_OPERATOR_WIDTHS, over Z of side 1..12
     (all-zero, mostly-zero and dense draws reach both sides of Z's
     density rule), over Q, over a quotient ring with a table or one past
     FLAT_TABLE_MAX (the Ring default over a native dot), or over a series
-    ring; its support or None; and one run (v, k) on each leading block
+    ring; the sparse flag; and one run (v, k) on each leading block
     r = 0..n, k from 0 to 2r+1, v sometimes zero."""
     kind = draw(st.sampled_from(("zp", "Z", "Q", "quotient", "series")))
     if kind == "zp":
@@ -270,25 +270,23 @@ def krylov_operator_cases(draw):
         n = draw(st.integers(1, 5))
     value = _krylov_values(draw, ring)
     rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=n, max_size=n))
-    support = None
-    if draw(st.booleans()):
-        support = [[j for j, x in enumerate(row) if not ring.is_zero(x)] for row in rows]
+    sparse = draw(st.booleans())
     runs = []
     for r in range(n + 1):
         v = draw(st.one_of(st.just([ring.zero] * r), st.lists(value, min_size=r, max_size=r)))
         runs.append((v, draw(st.integers(0, 2 * r + 1))))
-    return ring, rows, support, runs
+    return ring, rows, sparse, runs
 
 
 @settings(max_examples=200, deadline=None)
 @given(krylov_operator_cases())
 def test_krylov_operator_matches_the_default_on_every_leading_block(case):
     # one operator per matrix, run on every leading block: the native
-    # runs, the Ring default with the same support, the default without
-    # one, and the default on the block sliced out as a square all agree
-    ring, rows, support, runs = case
-    run = ring.krylov(rows, support)
-    literal, dense = Ring.krylov(ring, rows, support), Ring.krylov(ring, rows)
+    # runs, the Ring default with the same flag, the dense default, and the
+    # default on the block sliced out as a square all agree
+    ring, rows, sparse, runs = case
+    run = ring.krylov(rows, sparse)
+    literal, dense = Ring.krylov(ring, rows, sparse), Ring.krylov(ring, rows)
     for v, k in runs:
         r = len(v)
         want = Ring.krylov(ring, [row[:r] for row in rows[:r]])(v, k)
@@ -298,14 +296,14 @@ def test_krylov_operator_matches_the_default_on_every_leading_block(case):
 @pytest.mark.parametrize("extra", [False, True])
 def test_integer_krylov_at_half_density_and_empty_runs(extra):
     # Z picks its path once per matrix: this 4x4 matrix holds exactly 8
-    # nonzeros, at the density rule's edge (the flat pass, with or without
-    # a support), or 9 with extra (the Ring default, support or not)
+    # nonzeros, at the density rule's edge (the flat pass, sparse flag or
+    # not), or 9 with extra (the Ring default, sparse flag or not)
     rows = [[1, 0, -2, 0], [0, 3, 0, -4], [2 ** 70, 0, -6, 0], [0, 7, 0, 8]]
     rows[3][0] = -5 if extra else 0
     owner = Ring if extra else rings.IntegerRing
     v = [3, -1, 2 ** 65, 4]
-    for support in (None, [[j for j, x in enumerate(row) if x] for row in rows]):
-        run = ZZ.krylov(rows, support)
+    for sparse in (False, True):
+        run = ZZ.krylov(rows, sparse)
         assert run.__qualname__ == owner.krylov.__qualname__ + ".<locals>.run"
         for r in range(5):
             assert run(v[:r], 6) == Ring.krylov(ZZ, [row[:r] for row in rows[:r]])(v[:r], 6), r
@@ -319,8 +317,8 @@ def test_integer_krylov_on_every_leading_block_of_a_group5_matrix(seed):
     # nonzeros past column r in their rows that a run must not read
     rows = bench.generate_matrix(bench.BenchCase(5, 12, seed)).to_rows()
     rng = Rng(seed)
-    for support in (None, [[j for j, x in enumerate(row) if x] for row in rows]):
-        run = ZZ.krylov(rows, support)
+    for sparse in (False, True):
+        run = ZZ.krylov(rows, sparse)
         for r in range(13):
             v = [rng.int_between(-2 ** 70, 2 ** 70) for _ in range(r)]
             assert run(v, r + 1) == Ring.krylov(ZZ, [row[:r] for row in rows[:r]])(v, r + 1), r
@@ -328,7 +326,7 @@ def test_integer_krylov_on_every_leading_block_of_a_group5_matrix(seed):
 
 def _support_dot(ring, row, v, cols):
     """row . v over the columns cols (ascending) below len(v), one scalar
-    mul and add at a time: the loop that the support path of the Ring
+    mul and add at a time: the loop that the sparse path of the Ring
     krylov default replaced, kept as its oracle."""
     acc = None
     for k in cols:
@@ -363,7 +361,7 @@ def test_krylov_support_runs_count_the_scalar_loop(spec):
     for r in range(6):
         for k in (0, 1, r + 1):
             got, want = CountingRing(inner, track_bits=True), CountingRing(inner, track_bits=True)
-            iterates = got.krylov(rows, support)(v[:r], k)
+            iterates = got.krylov(rows, True)(v[:r], k)
             w, literal = v[:r], [v[:r]]
             for _ in range(k):
                 w = [_support_dot(want, row, w, cols) for row, cols in zip(rows[:r], support)]
@@ -879,12 +877,28 @@ KRYLOV_PINS = (
     ("berkowitz", "group5", 14, OpStats(8008, 0, 8944, 0, 0), 82, "cde2f5e0ebb7b607"),
     ("chistov", "group5", 14, OpStats(14599, 0, 16331, 1, 0), 118, "cde2f5e0ebb7b607"),
 )
+# the path the sparse flag takes in the Ring default: a Q matrix with
+# zeros (a last row with one nonzero below column m, and one with none),
+# and a Z/10007 matrix with no zero, where the sparse-aware runs make the
+# dense runs' products
+SPARSE_KRYLOV_PINS = (
+    ("berkowitz", "Q", 4, OpStats(38, 0, 64, 0, 0), 4, "1d5e63582526ec56"),
+    ("berkowitz_sparse", "Q", 4, OpStats(20, 0, 45, 0, 0), 4, "1d5e63582526ec56"),
+    ("chistov", "Q", 4, OpStats(154, 0, 225, 1, 0), 10, "1d5e63582526ec56"),
+    ("chistov_sparse", "Q", 4, OpStats(94, 0, 165, 1, 0), 10, "1d5e63582526ec56"),
+    ("berkowitz_sparse", "zp:10007", 9, OpStats(1248, 0, 1504, 0, 0), 14, "5632f1e9ffffecf8"),
+    ("chistov_sparse", "zp:10007", 9, OpStats(2774, 0, 3301, 1, 0), 14, "5632f1e9ffffecf8"),
+)
+Q_PIN_ROWS = [[Fraction(1, 2), 0, 1, 0], [0, 2, 0, -3], [3, 0, -1, 0], [0, Fraction(1, 3), 0, 0]]
 
 
-@pytest.mark.parametrize("algo, spec, n, stats, max_bits, result", KRYLOV_PINS)
+@pytest.mark.parametrize("algo, spec, n, stats, max_bits, result",
+                         KRYLOV_PINS + SPARSE_KRYLOV_PINS)
 def test_counted_krylov_loops_are_pinned(algo, spec, n, stats, max_bits, result):
     if spec == "group5":
         a = bench.generate_matrix(bench.BenchCase(5, n, 3))
+    elif spec == "Q":
+        a = DenseMatrix.from_rows(QQ, [[Fraction(x) for x in row] for row in Q_PIN_ROWS])
     else:
         ring = ring_from_string(spec)
         rng = Rng(200 + n)

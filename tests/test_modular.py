@@ -54,6 +54,7 @@ def test_crt_examples():
     assert md.crt_reconstruct(md.ResidueSystem([3, 5], [1, 2]), 7) == 7
     assert md.crt_reconstruct(md.ResidueSystem([3, 5], [2, 4]), 2) == -1
     assert md.crt_reconstruct(md.ResidueSystem([11], [3]), 5) == 3
+    assert md.crt_reconstruct(md.ResidueSystem([7, 11], [5, 3]), 38) == -30
 
 
 def test_crt_roundtrip(rng):
@@ -71,6 +72,8 @@ def test_crt_failures():
         md.crt_reconstruct(md.ResidueSystem([3, 5], [1, 2]), 100)  # product too small
     with pytest.raises(NoCandidateWithinBound):
         md.crt_reconstruct(md.ResidueSystem([4, 6], [1, 1]), 2)    # not coprime
+    with pytest.raises(NoCandidateWithinBound):
+        md.crt_reconstruct(md.ResidueSystem([7, 11], [5, 3]), 20)  # -30 is past the bound
 
 
 def test_prime_ladder():

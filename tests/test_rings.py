@@ -17,7 +17,7 @@ from exactla.pinv import rational_function_field
 from exactla.poly import dft_mul, schoolbook_mul, strip
 from exactla.rings import (QQ, ZZ, CountingRing, FractionField, IntegersMod,
                            MultiPolynomialRing, OpStats, PolynomialRing, QuotientRing, RingSpec,
-                           ring_from_string, quotient_reduce, with_counting)
+                           SeriesRing, ring_from_string, quotient_reduce, with_counting)
 from exactla.rng import Rng
 
 
@@ -88,6 +88,10 @@ def test_exact_div_examples():
         ZZ.exact_div(5, 2)
     with pytest.raises(ZeroDivisor):
         ZZ.exact_div(5, 0)
+    # a series ring divides by a unit other than one through its inverse
+    sr = SeriesRing(QQ, 3)
+    a, b = tuple(map(Fraction, (1, -3, 1, 5))), tuple(map(Fraction, (2, 1, 0, 0)))
+    assert sr.mul(sr.exact_div(a, b), b) == a
 
 
 def test_div_by_integer_examples():
@@ -99,6 +103,8 @@ def test_div_by_integer_examples():
         F7.div_by_int(3, 7)
     with pytest.raises(IntegerNotInvertible):
         ZZ.div_by_int(5, 0)
+    with pytest.raises(IntegerNotInvertible):      # Le Verrier divides by 1..n, and 5 = 0 mod 5
+        charpoly_leverrier(DenseMatrix(IntegersMod(5), 5, 5, [1] * 25))
     # polynomials vet k on zero as on any other element, and a counted
     # base counts nothing for it
     for ring, k in ((ZX, 0), (PolynomialRing(F7, "x"), 7)):

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import minimal_polynomial_dense
 from exactla import sequences as sq
-from exactla.errors import DimensionMismatch, RetriesExhausted, ZeroSequence
+from exactla.errors import (DimensionMismatch, RetriesExhausted, SingularHankelSystem,
+                            ZeroSequence)
 from exactla.matrix import DenseMatrix
 from exactla.poly import divmod_poly
 from exactla.rings import IntegersMod
@@ -106,6 +107,10 @@ def test_hankel_rank_detection():
     assert got == [99, 1]
     fib = [1, 1, 2, 3, 5, 8]
     assert len(sq.hankel_minpoly(F101, fib, 3)) - 1 == 2
+    with pytest.raises(ZeroSequence):
+        sq.hankel_minpoly(F101, [0, 0, 0, 0], 2)
+    with pytest.raises(SingularHankelSystem):      # rank 0, yet a nonzero term
+        sq.hankel_minpoly(F101, [0, 0, 0, 1], 2)
 
 
 def test_wiedemann_identity():

@@ -9,16 +9,23 @@ import sys
 
 from . import registry
 from .charpoly import determinant
-from .errors import ExactLAError
+from .errors import ExactLAError, ParseError
 from .matrix import parse_matrix
 
 # bench and modular are imported by the subcommands that use them, so
 # that `charpoly` and `det` do not compile them in each fresh process
 
 
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, e))
+
+
 def _read_matrix(path):
-    with open(path) as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(_read_text(path))
 
 
 def cmd_charpoly(args):
@@ -70,8 +77,7 @@ def cmd_validate(args):
 
 def cmd_bench(args):
     from . import bench
-    with open(args.config) as fh:
-        cfg = bench.parse_config(fh.read())
+    cfg = bench.parse_config(_read_text(args.config))
     records, csv_text, md_text, unanimous = bench.run_benchmark(cfg)
     with open(args.out_csv, "w") as fh:
         fh.write(csv_text)

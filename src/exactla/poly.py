@@ -156,21 +156,15 @@ def poly_mul(ring, a, b, strategy="auto"):
 
 
 def auto_mul(ring, a, b):
-    """Schoolbook below AUTO_KARATSUBA_DEGREE; above it DFT where the ring
-    has the root of unity (and odd characteristic), else Karatsuba."""
-    d = min(len(a), len(b)) - 1
-    if d < AUTO_KARATSUBA_DEGREE:
+    """Schoolbook below AUTO_KARATSUBA_DEGREE; above it DFT where the ring's
+    principal_root has the root of unity, else Karatsuba.  dft_mul asks
+    for the root before its first ring op, so a refused DFT costs none."""
+    if min(len(a), len(b)) - 1 < AUTO_KARATSUBA_DEGREE:
         return schoolbook_mul(ring, a, b)
-    need = len(a) + len(b) - 1
-    m = 1
-    while m < need:
-        m *= 2
-    if m in ring.spec.root_of_unity_orders and ring.spec.characteristic != 2:
-        try:
-            return dft_mul(ring, a, b)
-        except DftUnavailable:
-            pass
-    return karatsuba_mul(ring, a, b)
+    try:
+        return dft_mul(ring, a, b)
+    except DftUnavailable:
+        return karatsuba_mul(ring, a, b)
 
 
 def divmod_poly(ring, a, b):

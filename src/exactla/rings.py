@@ -72,14 +72,14 @@ class RingSpec:
 
     max_invertible_integer: None means unbounded (division by any k!,
     when possible at all, is exact and unique); 0 means no integer
-    division is available.
+    division is available.  Roots of unity are not declared here: a ring
+    has the ones its principal_root returns.
     """
     characteristic: int
     is_integral_domain: bool
     is_field: bool
     has_exact_division: bool
     max_invertible_integer: object
-    root_of_unity_orders: frozenset
 
     def allows_div_by_int(self, k):
         m = self.max_invertible_integer
@@ -239,7 +239,7 @@ class IntegerRing(Ring):
     name = "Z"
     zero = 0
     one = 1
-    spec = RingSpec(0, True, False, True, None, frozenset())
+    spec = RingSpec(0, True, False, True, None)
 
     def from_int(self, k):
         return k
@@ -348,7 +348,7 @@ class RationalField(Ring):
     name = "Q"
     zero = Fraction(0)
     one = Fraction(1)
-    spec = RingSpec(0, True, True, True, None, frozenset())
+    spec = RingSpec(0, True, True, True, None)
 
     def from_int(self, k):
         return Fraction(k)
@@ -445,15 +445,7 @@ class IntegersMod(Ring):
         self.zero = 0
         self.one = 1 % m
         prime = _is_probable_prime(m)
-        self._prime = prime
-        orders = set()
-        if prime:
-            t = 2
-            while (m - 1) % t == 0:
-                orders.add(t)
-                t *= 2
-        self.spec = RingSpec(m if prime else 0, prime, prime, prime,
-                             m - 1 if prime else 0, frozenset(orders))
+        self.spec = RingSpec(m, prime, prime, prime, m - 1 if prime else 0)
 
     def from_int(self, k):
         return k % self.m
@@ -577,7 +569,7 @@ class IntegersMod(Ring):
         return a * pow(k, -1, self.m) % self.m
 
     def principal_root(self, order):
-        if not self._prime or order < 2 or (self.m - 1) % order != 0:
+        if not self.spec.is_field or order < 2 or (self.m - 1) % order != 0:
             raise DftUnavailable("no principal root of order %d mod %d" % (order, self.m))
         m = self.m
         cof = (m - 1) // order
@@ -755,11 +747,9 @@ class PolynomialRing(Ring):
         self.name = "%s[%s]" % (base.name, var)
         self.zero = ()
         self.one = (base.one,)
-        self.x = (base.zero, base.one)
         b = base.spec
         self.spec = RingSpec(b.characteristic, b.is_integral_domain, False,
-                             b.has_exact_division or b.is_field,
-                             b.max_invertible_integer, frozenset())
+                             b.has_exact_division, b.max_invertible_integer)
 
     def from_int(self, k):
         c = self.base.from_int(k)
@@ -1016,8 +1006,9 @@ class MultiPolynomialRing(PolynomialRing):
 
     Elements are nested dense tuples, vk outermost.  Arithmetic is the
     univariate ring's: mul is the base's product hook (Kronecker at the
-    bottom over Z/p), exact division the recursive divmod_poly.  format,
-    parse and random_element go through exponent dicts (multipoly).
+    bottom over Z/p), exact division the recursive divmod_poly, and spec
+    the univariate tower's.  format, parse and random_element go through
+    exponent dicts (multipoly).
     """
 
     gcd = unit_normal = None        # so FractionField refuses the ring
@@ -1032,10 +1023,6 @@ class MultiPolynomialRing(PolynomialRing):
         super().__init__(base, self.vars[-1])
         coeff_name = "Z" if p is None else "zp:%d" % p
         self.name = "%s[%s]" % (coeff_name, ",".join(self.vars))
-        prime = self.scalars.spec.is_integral_domain
-        self.spec = RingSpec(0 if p is None else p,
-                             prime, False, prime,
-                             None if p is None else p - 1, frozenset())
 
     def format(self, a):
         d = mp.to_dict(a, len(self.vars))
@@ -1120,7 +1107,7 @@ class QuotientRing(PolynomialRing):
         self.modulus = self._reduce_coefficients(top)
         self.name = "zp:%d[%s]/%s" % (
             p, ",".join(varnames), ";".join(self._poly.format(g) for g in ideal))
-        self.spec = RingSpec(p, False, False, False, p - 1, frozenset())
+        self.spec = RingSpec(p, False, False, False, p - 1)
         d = self.degrees[-1]
         self.span = (base.span if k > 1 else 1) * (2 * d - 1)
         self.size = (base.size if k > 1 else 1) * d       # residues in a normal form
@@ -1313,9 +1300,7 @@ class FractionField(Ring):
         self.zero = (base.zero, base.one)
         self.one = (base.one, base.one)
         b = base.spec
-        self.spec = RingSpec(b.characteristic, True, True, True,
-                             b.max_invertible_integer if b.characteristic else None,
-                             frozenset())
+        self.spec = RingSpec(b.characteristic, True, True, True, b.max_invertible_integer)
 
     def make(self, num, den):
         base = self.base
@@ -1423,8 +1408,7 @@ class SeriesRing(Ring):
         self._split = type(base) in (IntegersMod, IntegerRing, QuotientRing)
         self._zp = type(base) is IntegersMod
         b = base.spec
-        self.spec = RingSpec(b.characteristic, False, False, False,
-                             b.max_invertible_integer, frozenset())
+        self.spec = RingSpec(b.characteristic, False, False, False, b.max_invertible_integer)
 
     def from_base(self, c):
         return (c,) + (self.base.zero,) * self.order
@@ -1546,7 +1530,6 @@ class CountingRing(Ring):
         self.zero = inner.zero
         self.one = inner.one
         self.spec = inner.spec
-        self.base = getattr(inner, "base", None)
 
     def _probe(self, r):
         if self.track_bits:

@@ -11,7 +11,7 @@ from exactla import charpoly as cp
 from exactla import registry
 from exactla.cli import main
 from exactla.errors import ConfigError, InvalidGroupParams, NotApplicable
-from exactla.matrix import DenseMatrix, format_matrix
+from exactla.matrix import DenseMatrix, format_matrix, parse_matrix
 from exactla.multipoly import to_dict
 from exactla.rings import QQ, ZZ
 
@@ -78,6 +78,28 @@ def test_cross_validate_group3_skips_faddeev_when_p_below_n():
     by_id = {e.algo: e for e in rep.entries}
     assert by_id["faddeev"].status.startswith("IntegerNotInvertible")
     assert by_id["berkowitz"].status == "ok"
+
+
+ZP12_XY = "3 3 zp:12[x,y]\n1*x^1 1 0\n1 1*y^1 2\n3 0 1\n"
+
+
+def test_composite_modulus_multivariate_skips_integer_division(tmp_path, capsys):
+    # 2 is not a unit mod 12: the four algorithms that divide by 1..n are
+    # skipped up front instead of failing mid-run
+    rep = bench.cross_validate(parse_matrix(ZP12_XY))
+    by_id = {e.algo: e for e in rep.entries}
+    ran = ["berkowitz", "berkowitz_sparse", "chistov", "chistov_sparse",
+           "bareiss_modified", "kaltofen"]
+    assert sorted(e.algo for e in rep.ran()) == sorted(ran)
+    assert rep.unanimous and len({by_id[a].digest for a in ran}) == 1
+    for algo in ("faddeev", "leverrier", "preparata_sarwate", "interpolation"):
+        assert by_id[algo].status.startswith("IntegerNotInvertible"), by_id[algo]
+    path = tmp_path / "zp12xy.txt"
+    path.write_text(ZP12_XY)
+    capsys.readouterr()
+    assert main(["charpoly", "--algo", "faddeev", "--in", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: IntegerNotInvertible: cannot divide by 1..3 in zp:12[x,y]\n")
 
 
 def test_run_benchmark_empty_and_small(tmp_path):
@@ -191,6 +213,15 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (cfg_text, err)
         if "nonzeros=-5" in cfg_text:
             assert "got -5" in err, err
+    # input that is not UTF-8, whatever the locale
+    bad_bytes = tmp_path / "not-utf8.txt"
+    for argv, data in ((["det", "--in", str(bad_bytes)], b"2 2 Z\n1 2\n3 \xff\n"),
+                       (["bench", "--config", str(bad_bytes), "--out-csv", str(tmp_path / "o.csv"),
+                         "--out-md", str(tmp_path / "o.md")], b"groups=1\nsizes=3\xff")):
+        bad_bytes.write_bytes(data)
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_bench_leaves_out_cases_the_counted_ring_cannot_run(tmp_path, capsys):

@@ -64,6 +64,39 @@ def test_karatsuba_multiplication_counts():
         assert cr.stats.total == 7 * 3 ** nu - 8 * 2 ** nu + 2
 
 
+# counted auto_mul above AUTO_KARATSUBA_DEGREE: (ring, length, OpStats
+# fields, max_bits, the strategy it dispatches to).  Over Z/m the operands
+# are a_i = i^2 + 1 and b_i = 3i + 2 mod m, over Z a_i = i - 16, b_i = 2i + 1.
+AUTO_MUL_PINS = [
+    (FDFT, 17, (576, 576, 703, 33, 0), 14, "dft"),
+    (FDFT, 33, (1344, 1344, 1599, 65, 0), 14, "dft"),
+    (IntegersMod(10007), 17, (502, 502, 243, 0, 0), 14, "karatsuba"),
+    (IntegersMod(10007), 33, (1572, 1572, 729, 0, 0), 14, "karatsuba"),
+    (IntegersMod(2), 33, (1572, 1572, 729, 0, 0), 1, "karatsuba"),
+    (IntegersMod(12), 33, (1572, 1572, 729, 0, 0), 4, "karatsuba"),
+    (ZZ, 33, (1572, 1572, 729, 0, 0), 17, "karatsuba"),
+]
+
+
+@pytest.mark.parametrize("inner, length, counts, bits, path", AUTO_MUL_PINS,
+                         ids=lambda v: getattr(v, "name", None))
+def test_counted_auto_mul_is_pinned(inner, length, counts, bits, path):
+    if inner is ZZ:
+        a = [i - 16 for i in range(length)]
+        b = [2 * i + 1 for i in range(length)]
+    else:
+        a = [(i * i + 1) % inner.m for i in range(length)]
+        b = [(3 * i + 2) % inner.m for i in range(length)]
+    cr = CountingRing(inner, track_bits=True)
+    assert poly.auto_mul(cr, a, b) == poly.schoolbook_mul(inner, a, b)
+    s = cr.stats
+    assert (s.adds, s.subs, s.muls, s.divs, s.exact_divs) == counts
+    assert cr.max_bits == bits
+    direct = CountingRing(inner)
+    poly.poly_mul(direct, a, b, path)
+    assert direct.stats == s
+
+
 def test_series_inverse_examples():
     # 1/(1-z) at order 2
     assert poly.series_inverse(ZZ, [1, -1, 0], 2) == [1, 1, 1]

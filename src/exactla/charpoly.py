@@ -309,6 +309,9 @@ def charpoly_hessenberg(a):
 
 
 def _native_dot(ring):
+    """Whether the ring's class overrides dot.  It decides only on fields:
+    PolynomialRing and QuotientRing define dot too, and Hessenberg never
+    runs on either."""
     return type(ring).dot is not Ring.dot
 
 

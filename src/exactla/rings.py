@@ -33,8 +33,12 @@ product and krylov (chosen once per matrix: one more than half nonzero
 takes the dense Ring default, a sparser one makes one prefix-sum pass
 over a block's nonzeros per step), RationalField
 product (one Z product of the operands with their denominators
-cleared), QuotientRing dot, submul, product and mul (one Z/p product of
-flat forms and one reduction per output element; see its docstring).
+cleared), PolynomialRing over exactly ZZ (Z[x], and so Z[x,y]'s mul)
+product, dot and submul (one plain-int accumulator per output
+coefficient, a pair packed where IntegerRing.product would pack it; a
+counted base keeps the defaults), QuotientRing dot, submul, product and
+mul (one Z/p product of flat forms and one reduction per output
+element; see its docstring).
 SeriesRing overrides krylov over Z/p, Z and quotient rings (the block
 split by powers of z once per run, one base matmul per step), and
 product and submul over exactly IntegersMod (one bivariate Kronecker
@@ -288,9 +292,8 @@ class IntegerRing(Ring):
         return run
 
     def product(self, a, b, order=None):
-        """Plain-int loop over the shorter operand (trailing zeros stripped)
-        when it has under Z_KRONECKER_MIN_TERMS nonzero coefficients, else
-        one signed Kronecker product."""
+        """Plain-int loop over the shorter operand (trailing zeros stripped),
+        or one signed Kronecker product where _z_packs says so."""
         la, lb = len(a), len(b)
         while la and not a[la - 1]:
             la -= 1
@@ -304,10 +307,10 @@ class IntegerRing(Ring):
             la, lb = min(la, size), min(lb, size)
         if lb < la:
             a, la, b, lb = b, lb, a, la
-        if la < Z_KRONECKER_MIN_TERMS or a[:la].count(0) > la - Z_KRONECKER_MIN_TERMS:
-            out = _int_loop(a, la, b, lb, size)
-        else:
+        if _z_packs(a, la):
             out = _signed_kronecker(a, la, b, lb, size)
+        else:
+            out = _int_loop(a, la, b, lb, size)
         # the leading coefficient of a full product is nonzero over Z
         if order is not None and size <= order:
             out += [0] * (order + 1 - size)
@@ -604,11 +607,12 @@ class IntegersMod(Ring):
 # products truncated at order L-1, and loses by up to 2x below L = 6.
 KRONECKER_MIN_TERMS = 10
 
-# The same cutoff for IntegerRing.product, whose signed packing costs
-# more.  Measured on dense signed operands of equal length L (CPython
-# 3.11, 2-CPU Xeon, best of 5): against the loop, Kronecker loses by
-# 1.1-1.5x at L = 12-16 with 8-bit coefficients and wins from L = 20, or
-# from L = 14 with 64-bit ones.
+# The same cutoff for IntegerRing.product (_z_packs, which Z[x]'s hooks
+# share per pair), whose signed packing costs more.  Measured on dense
+# signed operands of equal length L (CPython 3.11, 2-CPU Xeon, best of
+# 5): against the loop, Kronecker loses by 1.1-1.5x at L = 12-16 with
+# 8-bit coefficients and wins from L = 20, or from L = 14 with 64-bit
+# ones.
 Z_KRONECKER_MIN_TERMS = 16
 
 # most entries (flat positions times normal-form residues) of the table a
@@ -659,6 +663,12 @@ def _from_slots(raw, width, code, count, m):
         return [r % m for r in struct.unpack_from("<%d%s" % (count, code), raw)]
     unpack = int.from_bytes
     return [unpack(raw[i:i + width], "little") % m for i in range(0, width * count, width)]
+
+
+def _z_packs(a, la):
+    """Whether IntegerRing.product packs, for a shorter operand a[:la]: at
+    least Z_KRONECKER_MIN_TERMS of its coefficients are nonzero."""
+    return la >= Z_KRONECKER_MIN_TERMS and a[:la].count(0) <= la - Z_KRONECKER_MIN_TERMS
 
 
 def _int_loop(a, la, b, lb, size):
@@ -770,6 +780,39 @@ class PolynomialRing(Ring):
     def neg(self, a):
         return tuple(map(self.base.neg, a))
 
+    # over exactly ZZ: plain-int accumulators, one per output coefficient
+    # (_zx_addmul), each stripped to a tuple once; any other base, a
+    # CountingRing(ZZ) included, keeps the Ring defaults
+
+    def product(self, a, b, order=None):
+        if self.base is not ZZ:
+            return Ring.product(self, a, b, order)
+        n = len(a) + len(b) - 1 if order is None else order + 1
+        accs = [[] for _ in range(n)]
+        for i, x in enumerate(a[:n]):
+            if x:
+                for acc, y in zip(accs[i:], b):
+                    _zx_addmul(acc, x, y)
+        out = list(map(_zx_strip, accs))
+        if order is None:
+            while out and not out[-1]:
+                out.pop()
+        return out
+
+    def dot(self, xs, ys):
+        if self.base is not ZZ:
+            return Ring.dot(self, xs, ys)
+        acc = []
+        for x, y in zip(xs, ys):
+            _zx_addmul(acc, x, y)
+        return _zx_strip(acc)
+
+    def submul(self, ys, c, xs):
+        if self.base is not ZZ:
+            return Ring.submul(self, ys, c, xs)
+        c = [-t for t in c]
+        return [_zx_strip(_zx_addmul(list(y), c, x)) for y, x in zip(ys, xs)]
+
     def exact_div(self, a, b):
         if not b:
             raise ZeroDivisor("exact division by zero polynomial")
@@ -847,6 +890,40 @@ class PolynomialRing(Ring):
     def random_element(self, rng, degree=2, bound=99):
         out = [self.base.random_element(rng, bound) for _ in range(degree + 1)]
         return tuple(poly.strip(self.base, out))
+
+
+def _zx_addmul(acc, x, y):
+    """acc += x*y for x, y in Z[x] (tuples of ints) and acc a list of ints,
+    lengthened as needed; returns acc.  IntegerRing.product's signed
+    Kronecker product where _z_packs says so, else a loop over the nonzero
+    coefficients of the shorter operand."""
+    if len(x) > len(y):
+        x, y = y, x
+    lx = len(x)
+    if not lx:
+        return acc
+    n = lx + len(y) - 1
+    if len(acc) < n:
+        acc += [0] * (n - len(acc))
+    if _z_packs(x, lx):
+        acc[:n] = map(_add, acc, _signed_kronecker(x, lx, y, len(y), n))
+        return acc
+    i = 0
+    for c in x:
+        if c:
+            k = i
+            for d in y:
+                acc[k] += c * d
+                k += 1
+        i += 1
+    return acc
+
+
+def _zx_strip(acc):
+    """The Z[x] element of the coefficient list acc (stripped in place)."""
+    while acc and not acc[-1]:
+        acc.pop()
+    return tuple(acc)
 
 
 def _split_terms(s):

@@ -15,8 +15,8 @@ from exactla.elimination import det_field, gauss_lu
 from exactla.errors import ExactDivisionFailed, ExactLAError, NotApplicable
 from exactla.matrix import DenseMatrix
 from exactla.pinv import rational_function_field
-from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod, OpStats, PolynomialRing,
-                           Ring, SeriesRing, ring_from_string)
+from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod, MultiPolynomialRing, OpStats,
+                           PolynomialRing, Ring, SeriesRing, ring_from_string)
 from exactla.rng import Rng
 
 MODULI = (2, 12, 10007, 998244353, (1 << 61) - 1)
@@ -561,6 +561,145 @@ def test_counting_ring_takes_the_literal_defaults():
     xs, ys = [(1, 2), (3, 0, 1), ()], [(0, 1, 1), (5,), (2, 2, 2)]
     assert counted.dot(xs, ys) == quotient.dot(xs, ys)
     assert counted.stats == OpStats(adds=2, muls=3)
+    # Z[x] over a counted Z is not over exactly ZZ: its three hooks make the
+    # literal ops (one Z product per pair, one Z[x] add per sum), and give
+    # what the plain-int hooks give
+    xs, ys, c = [(1, 2), (), (3, 0, -1)], [(4, 5), (6,), (-7,)], (2, -1)
+    for hook, args, stats in (("dot", (xs, ys), OpStats(adds=4, muls=7)),
+                              ("submul", (ys, c, xs), OpStats(adds=3, subs=7, muls=10)),
+                              ("product", (xs, ys), OpStats(adds=5, muls=20)),
+                              ("product", (xs, ys, 1), OpStats(adds=1, muls=6))):
+        counted = CountingRing(ZZ)
+        got = getattr(PolynomialRing(counted), hook)(*args)
+        assert got == getattr(PolynomialRing(ZZ), hook)(*args), hook
+        assert counted.stats == stats, hook
+
+
+# ---------------------------------------------------------------------------
+# Z[x]: plain-int product, dot and submul over exactly ZZ
+
+ZX_RINGS = (PolynomialRing(ZZ), MultiPolynomialRing(None, ("x",)))
+ZXY = MultiPolynomialRing(None, ("x", "y"))
+
+
+@st.composite
+def zx_elements(draw):
+    """Z[x] elements: zero, constants, short ones (either sign, up to
+    2^70), mostly-zero ones, ones with 16 or more nonzero coefficients
+    (IntegerRing.product's Kronecker branch) and long sparse ones such as
+    x^300+1 (its loop)."""
+    kind = draw(st.sampled_from(("zero", "constant", "short", "sparse", "dense", "long sparse")))
+    bits = draw(st.sampled_from((3, 64, 70)))
+    value = st.integers(-2 ** bits, 2 ** bits)
+    nonzero = value.filter(bool)
+    if kind == "zero":
+        return ()
+    if kind == "constant":
+        return (draw(nonzero),)
+    if kind == "short":
+        return _stripped(ZZ, draw(st.lists(value, max_size=8)))
+    if kind == "sparse":
+        return _stripped(ZZ, draw(st.lists(st.one_of(st.just(0), st.just(0), value), max_size=24)))
+    if kind == "dense":
+        return tuple(draw(st.lists(nonzero, min_size=16, max_size=20)))
+    return (draw(nonzero),) + (0,) * draw(st.integers(30, 299)) + (draw(nonzero),)
+
+
+def _assert_zx_lists(got, want):
+    # equal values, list lengths and types: lists of stripped tuples
+    assert type(got) is list and got == want
+    for x in got:
+        assert type(x) is tuple and (not x or x[-1]), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_zx_hooks_match_literal(data):
+    ring = data.draw(st.sampled_from(ZX_RINGS))
+    elements = st.lists(zx_elements(), max_size=5)
+    a = data.draw(elements) + [()] * data.draw(st.integers(0, 2))
+    b = a if data.draw(st.booleans()) else data.draw(elements)
+    order = data.draw(st.one_of(st.none(), st.integers(0, len(a) + len(b))))
+    _assert_zx_lists(ring.product(a, b, order), Ring.product(ring, a, b, order))
+    _assert_zx_lists([ring.dot(a, b)], [Ring.dot(ring, a, b)])
+    c = data.draw(zx_elements())
+    _assert_zx_lists(ring.submul(b, c, a), Ring.submul(ring, b, c, a))
+    _assert_zx_lists(ring.submul(a, c, b), Ring.submul(ring, a, c, b))
+
+
+def test_zx_hooks_edge_shapes():
+    # every pairing of zero, constant, loop and Kronecker operands, at every
+    # order up to past the product
+    big = 2 ** 70 - 1
+    dense = tuple((-1) ** k * (big - 3 * k) for k in range(16))
+    shapes = [(), (1,), (-big,), (0, big), (-3, 0, 5), dense, dense[:15], dense + (0, 0, 1),
+              (1,) + (0,) * 299 + (1,), (-big,) + (0,) * 40 + (big,)]
+    lists = [[], [()], [(1,)], [dense], [dense, (), ()], shapes[:4], shapes[4:]]
+    for ring in ZX_RINGS:
+        for a in lists:
+            for b in lists:
+                for order in (None, 0, 1, 2, 3, 4, 6, 12):
+                    _assert_zx_lists(ring.product(a, b, order), Ring.product(ring, a, b, order))
+                _assert_zx_lists(ring.product(a, a), Ring.product(ring, a, a))
+                _assert_zx_lists([ring.dot(a, b)], [Ring.dot(ring, a, b)])
+                for c in ((), (1,), dense, shapes[8]):
+                    _assert_zx_lists(ring.submul(a, c, b), Ring.submul(ring, a, c, b))
+
+
+def test_zx_pairs_pack_where_integer_product_does(monkeypatch):
+    # a pair takes the signed Kronecker product exactly when
+    # IntegerRing.product would: 16 nonzero terms in the shorter operand
+    calls = []
+    real = rings._signed_kronecker
+    monkeypatch.setattr(rings, "_signed_kronecker", lambda *args: calls.append(args) or real(*args))
+    dense = tuple(range(1, 17))
+    shapes = [(5,), dense, dense[:15], (0,) + dense, dense[:8] + (0,) + dense[8:],
+              (1,) + (0,) * 299 + (1,), dense * 20]
+    for x in shapes:
+        for y in shapes:
+            calls.clear()
+            ZZ.product(x, y)
+            want = len(calls)
+            calls.clear()
+            ZX_RINGS[0].dot([x], [y])
+            assert len(calls) == want, (x, y)
+            assert want == (min(len(x), len(y)) >= 16 and
+                            min(x, y, key=len).count(0) <= min(len(x), len(y)) - 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(zx_elements(), max_size=5), st.lists(zx_elements(), max_size=5),
+       st.booleans())
+def test_zxy_mul_matches_literal(a, b, square):
+    # Z[x,y]'s mul is Z[x]'s product: against the Ring default of Z[x]
+    a, b = _stripped(ZXY.base, a), _stripped(ZXY.base, b)
+    if square:
+        b = a
+    got = ZXY.mul(a, b)
+    assert type(got) is tuple and got == tuple(Ring.product(ZXY.base, a, b))
+    assert all(type(x) is tuple and (not x or x[-1]) for x in got)
+
+
+# counted runs over Z[x] (Jou, group 4, n = 4: Z counted under Z[x]) and
+# Z[x,y] (group 2, n = 3: counted at the entry ring), pinned before Z[x]
+# had its plain-int hooks: OpStats, max_bits and digest, counted and not
+ZX_PINS = (
+    (4, 4, "kaltofen", OpStats(35068, 2479, 41076, 0, 0), 45, "cc9ce311f4a13f51"),
+    (4, 4, "chistov", OpStats(5367, 0, 6198, 0, 0), 37, "cc9ce311f4a13f51"),
+    (4, 4, "bareiss_modified", OpStats(2920, 971, 4264, 0, 194), 19, "cc9ce311f4a13f51"),
+    (2, 3, "kaltofen", OpStats(491, 157, 764, 3, 0), 35, "6e65ab1405745f80"),
+    (2, 3, "chistov", OpStats(53, 0, 89, 1, 0), 26, "6e65ab1405745f80"),
+    (2, 3, "bareiss_modified", OpStats(7, 25, 47, 0, 14), 32, "6e65ab1405745f80"),
+)
+
+
+@pytest.mark.parametrize("group, n, algo_id, stats, max_bits, digest", ZX_PINS)
+def test_counted_zx_runs_are_pinned(group, n, algo_id, stats, max_bits, digest):
+    case = bench.BenchCase(group, n, 1, algo_id)
+    rec = bench.run_case(case)
+    assert (rec.stats, rec.max_bits, rec.digest) == (stats, max_bits, digest)
+    algo = registry.get(algo_id)
+    assert algo.run(algo.prepare(bench.generate_matrix(case))).digest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -343,9 +343,8 @@ def _hessenberg_reduce(ring, h):
             h[i][jp] = ring.zero
             h[i][jp + 1:] = ring.submul(h[i][jp + 1:], c, h[ip][jp + 1:])
             if not deferred:
-                col = ring.addmul([row[ip] for row in h], c, [row[i] for row in h])
-                for row, x in zip(h, col):
-                    row[ip] = x
+                for row in h:
+                    row[ip] = ring.add(row[ip], ring.mul(c, row[i]))
         if deferred:
             for row in h:
                 row[ip] = ring.dot(row[ip:], cs)
@@ -378,7 +377,8 @@ def _hessenberg_recurrence_dots(ring, h):
 
 
 def _hessenberg_recurrence(ring, h):
-    """Ascending p_n of the Hessenberg rows h, one addmul per earlier p_k."""
+    """Ascending p_n of the Hessenberg rows h: p_m = (h_mm - X) p_{m-1} plus
+    t*p_k for each earlier p_k, one mul and one add per coefficient."""
     n = len(h)
     ps = [[ring.one]]
     for m in range(1, n + 1):
@@ -392,8 +392,7 @@ def _hessenberg_recurrence(ring, h):
         for i in range(1, m):
             c = ring.neg(ring.mul(c, h[m - i][m - i - 1]))
             t = ring.mul(c, h[m - i - 1][m - 1])
-            lower = ps[m - i - 1]
-            cur[:len(lower)] = ring.addmul(cur, t, lower)
+            cur[:m - i] = [ring.add(y, ring.mul(t, x)) for y, x in zip(cur, ps[m - i - 1])]
         ps.append(cur)
     return ps[n]
 
@@ -715,7 +714,7 @@ def eigenvector_simple(a, lam, cp=None):
     for col in range(n):
         v = [ring.one if i == col else ring.zero for i in range(n)]
         for k in range(1, n):
-            v = ring.addmul(bmats[k].col(col), lam, v)
+            v = [ring.add(y, ring.mul(lam, x)) for y, x in zip(bmats[k].col(col), v)]
         if any(not ring.is_zero(x) for x in v):
             return v
     raise AdjointVanishes("Adj(lambda*I - A) = 0: eigenspace dimension >= 2")

@@ -9,11 +9,10 @@ Kaltofen uses):
     random_element(rng, ...)
 
 plus parse(s) on the rings a ring spec names (Z, Q, Z/m, polynomials,
-quotients), and six bulk hooks, which the kernels and algorithms call
+quotients), and five bulk hooks, which the kernels and algorithms call
 for their inner loops:
 
     dot(xs, ys)            sum of xs[k]*ys[k] over the common length
-    addmul(ys, c, xs)      [y + c*x for each pair]
     submul(ys, c, xs)      [y - c*x for each pair]
     product(a, b, order)   polynomial product (order None, stripped), or
                            the series product mod z^(order+1)
@@ -24,26 +23,25 @@ for their inner loops:
 
 The Ring defaults are the literal scalar loops, op for op, and they are
 all a CountingRing has, so counted op streams, max_bits and digests do
-not depend on the hooks.  addmul is the Ring default in every ring.
-IntegersMod overrides the other five (sums in C, one reduction per dot
-or entry, Kronecker substitution for products, packed rows for matmul
-and the matrix's columns packed once for krylov, in slots of 1, 2, 4 or
-8 bytes for struct, exact widths past 8); IntegerRing dot, submul,
-product and krylov (chosen once per matrix: one more than half nonzero
-takes the dense Ring default, a sparser one makes one prefix-sum pass
-over a block's nonzeros per step), RationalField
-product (one Z product of the operands with their denominators
+not depend on the hooks.  IntegersMod overrides all five (sums in C,
+one reduction per dot or entry, Kronecker substitution for products,
+packed rows for matmul and the matrix's columns packed once for krylov,
+in slots of 1, 2, 4 or 8 bytes for struct, exact widths past 8);
+IntegerRing dot, submul, product and krylov (chosen once per matrix:
+one more than half nonzero takes the dense Ring default, a sparser one
+makes one prefix-sum pass over a block's nonzeros per step),
+RationalField product (one Z product of the operands with their denominators
 cleared), PolynomialRing over exactly ZZ (Z[x], and so Z[x,y]'s mul)
 product, dot and submul (one plain-int accumulator per output
 coefficient, a pair packed where IntegerRing.product would pack it; a
 counted base keeps the defaults), QuotientRing dot, submul, product and
 mul (one Z/p product of flat forms and one reduction per output
 element; see its docstring).
-SeriesRing overrides krylov over Z/p, Z and quotient rings (the block
-split by powers of z once per run, one base matmul per step), and
-product and submul over exactly IntegersMod (one bivariate Kronecker
-product), chosen by the type of its base alone: none of those bases is
-or holds a CountingRing.
+SeriesRing overrides krylov over Z/p, Z, quotient rings and Z[x] over
+exactly ZZ (the block split by powers of z once per run, one base matmul
+per step), and product and submul over exactly IntegersMod (one
+bivariate Kronecker product), chosen by its base alone: none of those
+bases is or holds a CountingRing.
 
 Elements are plain Python values (ints, Fractions, tuples) and are
 immutable by convention; rings are stateless except for CountingRing.
@@ -113,7 +111,11 @@ class OpStats:
 
 
 class Ring:
-    """Base class: sensible defaults for optional capabilities."""
+    """Base class: sensible defaults for optional capabilities.
+
+    Every ring keeps its elements canonical (a zero fraction is (base.zero,
+    base.one), a series order+1 canonical coefficients), so the structural
+    eq, is_zero and is_one below hold in every ring."""
 
     name = "?"
 
@@ -169,9 +171,6 @@ class Ring:
             t = self.mul(x, y)
             acc = t if acc is None else self.add(acc, t)
         return self.zero if acc is None else acc
-
-    def addmul(self, ys, c, xs):
-        return [self.add(y, self.mul(c, x)) for y, x in zip(ys, xs)]
 
     def submul(self, ys, c, xs):
         return [self.sub(y, self.mul(c, x)) for y, x in zip(ys, xs)]
@@ -558,8 +557,7 @@ class IntegersMod(Ring):
         except ValueError:
             raise ZeroDivisor("%d is a zero divisor mod %d" % (b, self.m))
 
-    def exact_div(self, a, b):
-        return self.div(a, b)
+    exact_div = div
 
     def inverse_of_unit(self, a):
         return self.div(self.one, a)
@@ -1433,12 +1431,6 @@ class FractionField(Ring):
             raise IntegerNotInvertible("%d maps to zero in %s" % (k, self.name))
         return self.make(a[0], self.base.mul(a[1], kk))
 
-    def eq(self, a, b):
-        return a == b     # canonical forms make equality structural
-
-    def is_zero(self, a):
-        return self.base.is_zero(a[0])
-
     def bit_size(self, a):
         return max(self.base.bit_size(a[0]), self.base.bit_size(a[1]))
 
@@ -1469,10 +1461,10 @@ class SeriesRing(Ring):
     order+1).
 
     Kaltofen's is the only caller, so the ring has only what it uses.
-    Its native hooks are chosen by the base's type: krylov over Z/p, Z
-    and quotient rings, product and submul over exactly IntegersMod.
-    None of these is or holds a CountingRing, so counted streams do not
-    move."""
+    Its native hooks are chosen by the base: krylov over Z/p, Z,
+    quotient rings and Z[x] over exactly ZZ, product and submul over
+    exactly IntegersMod.  None of these is or holds a CountingRing, so
+    counted streams do not move."""
 
     def __init__(self, base, order, var="z"):
         self.base = base
@@ -1480,9 +1472,10 @@ class SeriesRing(Ring):
         self.name = "%s[%s]/<%s^%d>" % (base.name, var, var, order + 1)
         self.zero = (base.zero,) * (order + 1)
         self.one = (base.one,) + (base.zero,) * order
-        # over Z[x] or a fraction field the products by the zeros of a
-        # split krylov cost full ring ops, so those keep the Ring default
-        self._split = type(base) in (IntegersMod, IntegerRing, QuotientRing)
+        # Q, fraction fields and counted bases keep the default: the products
+        # by the zeros of a split krylov cost full ring ops there
+        self._split = (type(base) in (IntegersMod, IntegerRing, QuotientRing)
+                       or isinstance(base, PolynomialRing) and base.base is ZZ)
         self._zp = type(base) is IntegersMod
         b = base.spec
         self.spec = RingSpec(b.characteristic, False, False, False, b.max_invertible_integer)
@@ -1570,9 +1563,6 @@ class SeriesRing(Ring):
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)
 
-    def is_zero(self, a):
-        return all(self.base.is_zero(x) for x in a)
-
     def inverse_of_unit(self, a):
         return tuple(poly.series_inverse(self.base, list(a), self.order))
 
@@ -1648,12 +1638,6 @@ class CountingRing(Ring):
     def inverse_of_unit(self, a):
         self.stats.divs += 1
         return self._probe(self.inner.inverse_of_unit(a))
-
-    def eq(self, a, b):
-        return self.inner.eq(a, b)
-
-    def is_zero(self, a):
-        return self.inner.is_zero(a)
 
     def principal_root(self, order):
         return self.inner.principal_root(order)

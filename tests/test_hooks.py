@@ -40,11 +40,10 @@ def zp_operands(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(zp_operands(), st.integers(0, 3))
-def test_zp_dot_addmul_submul_match_literal(case, pick):
+def test_zp_dot_submul_match_literal(case, pick):
     ring, xs, ys = case
     c = [0, 1, ring.m - 1, (ring.m + 1) // 3][pick]
     assert ring.dot(xs, ys) == Ring.dot(ring, xs, ys)
-    assert ring.addmul(ys, c, xs) == Ring.addmul(ring, ys, c, xs)
     assert ring.submul(ys, c, xs) == Ring.submul(ring, ys, c, xs)
 
 
@@ -80,9 +79,8 @@ def test_zp_product_edge_shapes(m):
 @given(st.lists(st.integers(-2**70, 2**70), max_size=30),
        st.lists(st.integers(-2**70, 2**70), max_size=30),
        st.integers(-2**40, 2**40))
-def test_integer_dot_addmul_submul_match_literal(xs, ys, c):
+def test_integer_dot_submul_match_literal(xs, ys, c):
     assert ZZ.dot(xs, ys) == Ring.dot(ZZ, xs, ys)
-    assert ZZ.addmul(ys, c, xs) == Ring.addmul(ZZ, ys, c, xs)
     assert ZZ.submul(ys, c, xs) == Ring.submul(ZZ, ys, c, xs)
 
 
@@ -214,7 +212,7 @@ def test_zp_krylov_edge_shapes(m, n, width):
 KRYLOV_OPERATOR_WIDTHS = ((2, 6, 1), (7, 7, 1), (7, 13, 2), (12, 4, 2), (10007, 9, 4),
                           (65521, 5, 8), (998244353, 18, 8), (998244353, 19, 9),
                           ((1 << 61) - 1, 7, 16))
-KRYLOV_SERIES_BASES = ("zp:10007", "zp:2305843009213693951", "Z", "zp:7[x]/1*x^3+-1")
+KRYLOV_SERIES_BASES = ("zp:10007", "zp:2305843009213693951", "Z", "zp:7[x]/1*x^3+-1", "Z[x]")
 
 
 def _krylov_values(draw, ring):
@@ -234,6 +232,8 @@ def _krylov_values(draw, ring):
         value = st.integers(-2 ** 70, 2 ** 70)
     elif ring is QQ:
         value = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40), st.sampled_from((1, 3, 2 ** 41)))
+    elif type(ring) is PolynomialRing:
+        value = zx_elements()
     elif ring._table is None:
         value = large_quotient_elements(ring)
     else:
@@ -523,6 +523,15 @@ def test_series_hooks_stay_literal_over_a_counted_tower():
         assert counted.stats == literal.stats and counted.stats.muls > 0, hook
 
 
+def test_series_krylov_splits_over_z_x_alone_among_the_polynomial_bases():
+    # Z[x] over exactly ZZ splits (its dots are plain-int); a counted Z
+    # below it, Q, Z[x,y] and Z/p[x] keep the Ring default
+    split = [PolynomialRing(ZZ), MultiPolynomialRing(None, ("x",)), ZZ, IntegersMod(7)]
+    default = [PolynomialRing(CountingRing(ZZ)), QQ, ZXY, ring_from_string("zp:10007[x]")]
+    assert all(SeriesRing(base, 4)._split for base in split)
+    assert not any(SeriesRing(base, 4)._split for base in default)
+
+
 @st.composite
 def rational_lists(draw, max_size=25):
     """Rational coefficient lists: zeros, negatives, trailing zeros and
@@ -550,7 +559,7 @@ def test_rational_product_matches_literal(a, b, order, square):
 def test_counting_ring_takes_the_literal_defaults():
     for inner in (IntegersMod(10007), ZZ):
         counted = CountingRing(inner)
-        for hook in ("dot", "addmul", "submul", "product", "matmul", "krylov"):
+        for hook in ("dot", "submul", "product", "matmul", "krylov"):
             assert getattr(type(counted), hook) is getattr(Ring, hook)
         assert counted.dot([1, 2, 3], [4, 5, 6]) == 32
         assert (counted.stats.muls, counted.stats.adds) == (3, 2)
@@ -754,7 +763,6 @@ def _assert_hooks_literal(ring, a, b, c, xs, ys, order):
     assert ring.mul(a, b) == ring._rem(list(ring.base.product(a, b)))
     assert ring.product(xs, ys, order) == Ring.product(ring, xs, ys, order)
     assert ring.dot(xs, ys) == Ring.dot(ring, xs, ys)
-    assert ring.addmul(ys, c, xs) == Ring.addmul(ring, ys, c, xs)
     assert ring.submul(ys, c, xs) == Ring.submul(ring, ys, c, xs)
 
 
@@ -823,7 +831,6 @@ def test_quotient_hooks_on_zero_divisors_and_zero():
                 assert flat.product(xs, ys, order) == want, (spec, xs, ys, order)
                 assert want == ([] if order is None else [zero] * (order + 1))
         assert flat.dot([a, a], [b, b]) == zero
-        assert flat.addmul([a, b], a, [b, a]) == remainder.addmul([a, b], a, [b, a])
         assert flat.submul([a, b], a, [b, a]) == remainder.submul([a, b], a, [b, a])
         assert flat.submul([a], zero, [b]) == [a]
         assert flat.dot([], []) == flat.dot([a], []) == zero
@@ -1079,13 +1086,15 @@ def test_counted_frobenius_blocks_are_pinned(spec, n, stats, max_bits, result):
 
 
 # counted Hessenberg, pinned to the interleaved stream (one row submul and
-# one column addmul per eliminated row, one addmul per earlier p_k) that
+# one mul and add per column entry for each eliminated row, one mul and add
+# per coefficient of each earlier p_k) that
 # every ring without a native dot keeps: OpStats, max_bits and digest of
 # bench.run_case (Z input lifted to Q) on group-1 and group-5 matrices,
 # and over Z/10007 on random and group-5 matrices (skipped columns, row
 # swaps and zero multipliers)
 HESSENBERG_Q_PINS = (
     (1, 8, 1, OpStats(252, 140, 456, 21, 0), 444, "a95035f3348ca6ea"),
+    (1, 8, 2, OpStats(252, 140, 456, 21, 0), 434, "4632bdc05cc00eb7"),
     (1, 12, 1, OpStats(946, 506, 1596, 55, 0), 1170, "95d4f917a5c0ae7a"),
     (1, 16, 2, OpStats(2344, 1225, 3825, 104, 0), 2374, "9737bd09e9101da3"),
     (1, 20, 2, OpStats(4750, 2470, 7620, 171, 0), 3904, "5f9b59f19a0bd757"),
@@ -1098,6 +1107,8 @@ HESSENBERG_Q_PINS = (
     (5, 20, 2, OpStats(1690, 358, 2448, 18, 0), 76, "95c53eb74e92a3c0"),
 )
 HESSENBERG_ZP_PINS = (
+    ("random", 8, OpStats(252, 140, 456, 21, 0), "6c0ca0ac1fa367e0"),
+    ("group5", 8, OpStats(108, 43, 215, 3, 0), "b2709bc756f1a79c"),
     ("random", 9, OpStats(372, 204, 657, 28, 0), "b07eb0ca59e7345c"),
     ("random", 18, OpStats(3417, 1785, 5526, 136, 0), "002b33585a5afbf4"),
     ("group5", 9, OpStats(192, 83, 356, 8, 0), "3bb5f2692e6f54fd"),
@@ -1123,6 +1134,16 @@ def test_counted_hessenberg_over_zp_is_pinned(kind, n, stats, digest):
     got = charpoly.charpoly_hessenberg(a.with_ring(counted, lambda x: x))
     assert (counted.stats, counted.max_bits, got.digest()) == (stats, 14, digest)
     assert charpoly.charpoly_hessenberg(a).digest() == digest
+
+
+def test_counted_eigenvector_simple_is_pinned():
+    # Berkowitz, the Horner B_k and one mul and add per entry for each B_k;
+    # every row sums to 6, a simple root of the charpoly
+    rows = [[1, 2, 0, 3], [2, 1, 3, 0], [0, 4, 1, 1], [3, 0, 2, 1]]
+    counted = CountingRing(QQ, track_bits=True)
+    a = DenseMatrix.from_rows(QQ, rows).with_ring(counted, QQ.from_int)
+    assert charpoly.eigenvector_simple(a, Fraction(6)) == [55] * 4
+    assert (counted.stats, counted.max_bits) == (OpStats(146, 12, 204, 0, 0), 8)
 
 
 HESSENBERG_MODULI = (2, 7, 12, 65521, 10007, 998244353, (1 << 61) - 1, (1 << 256) - 189)

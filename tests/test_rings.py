@@ -318,6 +318,70 @@ def test_counting_ring_passes_bit_size_and_principal_root_through():
 
 
 # ---------------------------------------------------------------------------
+# one equality test: Ring's structural eq/is_zero/is_one, on canonical forms
+
+BULK_HOOKS = ("dot", "submul", "product", "matmul", "krylov")
+
+
+def test_ring_protocol_states_each_rule_once():
+    classes = [c for c in vars(rings).values()
+               if isinstance(c, type) and issubclass(c, rings.Ring) and c is not rings.Ring]
+    for cls in classes:
+        assert not {"eq", "is_zero", "is_one"} & set(vars(cls)), cls.__name__
+    for hook in BULK_HOOKS:
+        assert any(hook in vars(cls) for cls in classes), hook
+    assert not hasattr(rings.Ring, "addmul")
+
+
+CANONICAL_RINGS = (FractionField(ZX), FractionField(PolynomialRing(QQ, "t")),
+                   SeriesRing(ZZ, 3), SeriesRing(F7, 2), SeriesRing(ZX, 2))
+
+
+def _base_values(base):
+    if base is ZZ:
+        return st.integers(-3, 3)
+    if base is QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if base is F7:
+        return st.integers(0, 6)
+    return st.lists(_base_values(base.base), max_size=3).map(lambda cs: tuple(strip(base.base, cs)))
+
+
+def _elements(ring):
+    """Fractions through make (zero numerators among them) or series of
+    order+1 base values, mostly zero."""
+    value = _base_values(ring.base)
+    if isinstance(ring, FractionField):
+        return st.builds(ring.make, value, value.filter(lambda d: not ring.base.is_zero(d)))
+    zero = st.just(ring.base.zero)
+    return st.lists(st.one_of(zero, zero, value), min_size=ring.order + 1,
+                    max_size=ring.order + 1).map(tuple)
+
+
+def _zero_by_parts(ring, a):
+    """Zero part by part: the numerator, or every series coefficient."""
+    if isinstance(ring, FractionField):
+        return ring.base.is_zero(a[0])
+    return all(ring.base.is_zero(x) for x in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_zero_is_canonical_in_fraction_and_series_rings(data):
+    ring = data.draw(st.sampled_from(CANONICAL_RINGS))
+    a, b = data.draw(_elements(ring)), data.draw(_elements(ring))
+    zero = ring.zero
+    assert ring.sub(a, a) == ring.mul(a, zero) == ring.neg(zero) == zero
+    # a series with constant term 1, or a nonzero fraction, is a unit
+    unit = (ring.base.one,) + a[1:] if isinstance(ring, SeriesRing) else a
+    results = [a, ring.mul(a, b)]
+    if not ring.is_zero(unit):
+        results.append(ring.inverse_of_unit(unit))
+    for x in results:
+        assert ring.is_zero(x) == (x == zero) == _zero_by_parts(ring, x), x
+
+
+# ---------------------------------------------------------------------------
 # polynomial gcd over Z and Q: the heuristic gcd against Euclid
 
 QX = PolynomialRing(QQ, "x")

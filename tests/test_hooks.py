@@ -1094,7 +1094,6 @@ def test_counted_frobenius_blocks_are_pinned(spec, n, stats, max_bits, result):
 # swaps and zero multipliers)
 HESSENBERG_Q_PINS = (
     (1, 8, 1, OpStats(252, 140, 456, 21, 0), 444, "a95035f3348ca6ea"),
-    (1, 8, 2, OpStats(252, 140, 456, 21, 0), 434, "4632bdc05cc00eb7"),
     (1, 12, 1, OpStats(946, 506, 1596, 55, 0), 1170, "95d4f917a5c0ae7a"),
     (1, 16, 2, OpStats(2344, 1225, 3825, 104, 0), 2374, "9737bd09e9101da3"),
     (1, 20, 2, OpStats(4750, 2470, 7620, 171, 0), 3904, "5f9b59f19a0bd757"),
@@ -1105,14 +1104,15 @@ HESSENBERG_Q_PINS = (
     (5, 18, 2, OpStats(1779, 720, 2823, 45, 0), 443, "34e9f1f6e7bef9d2"),
     (5, 20, 1, OpStats(2730, 1127, 4257, 70, 0), 1103, "0abe71423eaae1f8"),
     (5, 20, 2, OpStats(1690, 358, 2448, 18, 0), 76, "95c53eb74e92a3c0"),
+    (1, 8, 2, OpStats(252, 140, 456, 21, 0), 434, "4632bdc05cc00eb7"),
 )
 HESSENBERG_ZP_PINS = (
-    ("random", 8, OpStats(252, 140, 456, 21, 0), "6c0ca0ac1fa367e0"),
-    ("group5", 8, OpStats(108, 43, 215, 3, 0), "b2709bc756f1a79c"),
     ("random", 9, OpStats(372, 204, 657, 28, 0), "b07eb0ca59e7345c"),
     ("random", 18, OpStats(3417, 1785, 5526, 136, 0), "002b33585a5afbf4"),
     ("group5", 9, OpStats(192, 83, 356, 8, 0), "3bb5f2692e6f54fd"),
     ("group5", 18, OpStats(1779, 720, 2823, 45, 0), "daf41627a603f88f"),
+    ("random", 8, OpStats(252, 140, 456, 21, 0), "6c0ca0ac1fa367e0"),
+    ("group5", 8, OpStats(108, 43, 215, 3, 0), "b2709bc756f1a79c"),
 )
 
 

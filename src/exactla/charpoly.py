@@ -81,14 +81,13 @@ def charpoly_berkowitz(a, sparse_aware=False):
     for r in range(2, n + 1):
         m = r - 1
         iterates = krylov([rows[i][m] for i in range(m)], m - 1)
-        # sparse-aware: row m's nonzeros below column m, and each iterate's there
-        # (one pair: one mul); the dense dot when none of them is zero
+        # sparse-aware: one ring.dot of row m's nonzeros below column m and each
+        # iterate's there (one mul for one pair, none for no pairs); the dense dot
+        # when none of them is zero
         js = [j for j in range(m) if not ring.is_zero(rows[m][j])] if sparse_aware else range(m)
         js = None if len(js) == m else js
         xs = rows[m] if js is None else list(map(rows[m].__getitem__, js))
-        tail = ([ring.dot(xs, x if js is None else list(map(x.__getitem__, js))) for x in iterates]
-                if js is None or len(js) > 1 else
-                [ring.mul(xs[0], x[js[0]]) if js else ring.zero for x in iterates])
+        tail = [ring.dot(xs, x if js is None else list(map(x.__getitem__, js))) for x in iterates]
         c = [None, neg_one, rows[m][m]] + tail
         # Toeplitz times vector: entry i is the sum of c[i+1-j]*v[j-1], j = 1..min(r, i)
         v = [ring.dot(c[i:max(i - r, 0):-1], v) for i in range(1, r + 2)]
@@ -147,7 +146,7 @@ def _horner(a, coeff):
     n = a.rows
     b = None
     for k in count(1):
-        c = a if k == 1 else mat_mul(b, a, "classical")
+        c = a if k == 1 else mat_mul(b, a)
         ck = coeff(k, c)
         b = DenseMatrix(ring, n, n, list(c.entries))
         for i in range(n):
@@ -215,7 +214,7 @@ def charpoly_leverrier(a):
     traces[1] = a.trace()
     pw = a
     for k in range(2, n):
-        pw = mat_mul(a, pw, "classical")
+        pw = mat_mul(a, pw)
         traces[k] = pw.trace()
     if n >= 2:
         traces[n] = _trace_of_product(ring, a, pw)
@@ -251,10 +250,6 @@ def newton_convert(direction, data, n, ring):
 # ---------------------------------------------------------------------------
 # Preparata & Sarwate (baby-step / giant-step traces)
 
-def _ps_mat_mul(x, y):
-    return mat_mul(x, y, "classical")
-
-
 def charpoly_preparata_sarwate(a):
     ring = a.ring
     n = a.rows
@@ -266,16 +261,16 @@ def charpoly_preparata_sarwate(a):
     s[1] = a.trace()
     bpow = {1: a}
     for i in range(1, r - 1):
-        bpow[i + 1] = _ps_mat_mul(a, bpow[i])
+        bpow[i + 1] = mat_mul(a, bpow[i])
         if i + 1 <= n:
             s[i + 1] = bpow[i + 1].trace()
     cpow = {}
     if r >= 2:
-        cpow[1] = _ps_mat_mul(a, bpow[r - 1])
+        cpow[1] = mat_mul(a, bpow[r - 1])
         if r <= n:
             s[r] = cpow[1].trace()
         for j in range(1, r - 1):
-            cpow[j + 1] = _ps_mat_mul(cpow[1], cpow[j])
+            cpow[j + 1] = mat_mul(cpow[1], cpow[j])
             if (j + 1) * r <= n:
                 s[(j + 1) * r] = cpow[j + 1].trace()
     for i in range(1, r):
@@ -451,7 +446,7 @@ def determinant(m):
     spec = m.ring.spec
     if spec.is_field:
         return det_field(m)
-    if spec.is_integral_domain and spec.has_exact_division:
+    if spec.is_integral_domain:
         return det_fraction_free(m)
     # rings with zero divisors: fall back to a division-free determinant
     return charpoly_berkowitz(m).constant_term()

@@ -9,7 +9,7 @@ import sys
 
 from . import registry
 from .charpoly import determinant
-from .errors import ExactLAError, ParseError
+from .errors import DimensionMismatch, ExactLAError, NotApplicable, ParseError
 from .matrix import parse_matrix
 
 # bench and modular are imported by the subcommands that use them, so
@@ -31,8 +31,7 @@ def _read_matrix(path):
 def cmd_charpoly(args):
     m = _read_matrix(args.infile)
     if m.rows != m.cols:
-        print("error: charpoly needs a square matrix", file=sys.stderr)
-        return 1
+        raise DimensionMismatch("charpoly needs a square matrix")
     algo = registry.get(args.algo)
     print(algo.run(algo.prepare(m)).format())
     return 0
@@ -41,11 +40,9 @@ def cmd_charpoly(args):
 def cmd_det(args):
     m = _read_matrix(args.infile)
     if m.rows != m.cols:
-        print("error: det needs a square matrix", file=sys.stderr)
-        return 1
+        raise DimensionMismatch("det needs a square matrix")
     if args.modular and m.ring.name != "Z":
-        print("error: --modular needs an integer matrix", file=sys.stderr)
-        return 1
+        raise NotApplicable("--modular needs an integer matrix")
     det = determinant
     if args.modular:
         from .modular import det_modular as det

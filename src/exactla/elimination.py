@@ -6,8 +6,8 @@ echelon basis over a field."""
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, ExactDivisionFailed, NotDivisible,
-                     NotSurjective, ZeroConnectedMinor, ZeroDivisor)
+from .errors import (NOT_A_UNIT, DimensionMismatch, ExactDivisionFailed,
+                     NotSurjective, ZeroConnectedMinor)
 from .matrix import DenseMatrix, mat_mul, triangular_inverse
 
 
@@ -80,7 +80,7 @@ def _exact_division():
     """Reports a division that leaves the ring as ExactDivisionFailed."""
     try:
         yield
-    except (NotDivisible, ZeroDivisor) as e:
+    except NOT_A_UNIT as e:
         raise ExactDivisionFailed(str(e))
 
 

@@ -4,7 +4,7 @@ shared matrix text format."""
 
 from .errors import (NOT_A_UNIT, DimensionMismatch, NotInvertibleDiagonal,
                      ParseError)
-from .rings import CountingRing, Ring, ring_from_string
+from .rings import ring_from_string
 
 
 class DenseMatrix:
@@ -156,21 +156,17 @@ def _winograd(ring, a, b, cutoff):
 DEFAULT_STRASSEN_CUTOFF = 64
 
 
-def mat_mul(a, b, strategy="auto", cutoff=DEFAULT_STRASSEN_CUTOFF):
-    """Exact product; strategy in {classical, strassen, auto}.
+def mat_mul(a, b, strategy="classical", cutoff=DEFAULT_STRASSEN_CUTOFF):
+    """Exact product; strategy in {classical, strassen}.
 
-    auto is Strassen above `cutoff` only over a ring whose matmul is the
-    literal Ring.matmul (CountingRing layers stripped, so counted and
-    uncounted runs choose alike): a native matmul, as over Z/p, beats it.
-    Strassen pads to the next power of two with zeros and unpads; the
-    result never depends on the strategy.
+    classical, the default at every size, is the ring's matmul hook.
+    strassen runs only when asked for: Strassen-Winograd on blocks above
+    `cutoff`, padded with zeros to the next power of two and unpadded.
+    The result never depends on the strategy.
     """
     if a.cols != b.rows:
         raise DimensionMismatch("%dx%d times %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     ring = a.ring
-    if strategy == "auto":
-        strategy = ("strassen" if min(a.rows, a.cols, b.cols) > cutoff
-                    and _literal_matmul(ring) else "classical")
     if strategy == "classical":
         rows = ring.matmul(a.to_rows(), b.to_rows())
         return DenseMatrix.from_rows(ring, rows)
@@ -183,12 +179,6 @@ def mat_mul(a, b, strategy="auto", cutoff=DEFAULT_STRASSEN_CUTOFF):
     zb = _pad(ring, b.to_rows(), n)
     rows = _winograd(ring, za, zb, max(1, min(cutoff, n)) if cutoff >= 1 else 1)
     return DenseMatrix.from_rows(ring, [r[:b.cols] for r in rows[:a.rows]])
-
-
-def _literal_matmul(ring):
-    while isinstance(ring, CountingRing):
-        ring = ring.inner
-    return type(ring).matmul is Ring.matmul
 
 
 def _pad(ring, rows, n):

@@ -6,8 +6,9 @@ coefficient ring as its first argument and never mutates its inputs.
 Truncated series of order n are lists of exactly n+1 coefficients.
 """
 
-from .errors import (DegreeTooHigh, DftUnavailable, DimensionMismatch,
-                     NonUnitConstantTerm, NotDivisible)
+from .errors import (NOT_A_UNIT, DegreeTooHigh, DftUnavailable,
+                     DimensionMismatch, NonUnitConstantTerm, NotDivisible,
+                     ZeroDivisor)
 
 
 def strip(ring, coeffs):
@@ -172,11 +173,12 @@ def divmod_poly(ring, a, b):
 
     Each leading-coefficient division uses field division when available,
     exact division otherwise (always fine for monic-up-to-sign divisors).
-    Raises NotDivisible when a quotient coefficient does not exist.
+    Raises NotDivisible when a quotient coefficient does not exist, and
+    ZeroDivisor when b is zero.
     """
     b = strip(ring, b)
     if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise ZeroDivisor("polynomial division by zero")
     lead = b[-1]
     db = len(b) - 1
     if ring.spec.is_field:
@@ -242,7 +244,7 @@ def series_inverse(ring, a, order):
     c = a[0]
     try:
         cinv = ring.inverse_of_unit(c)
-    except NotDivisible:
+    except NOT_A_UNIT:
         raise NonUnitConstantTerm("series constant term is not a unit")
     # w = 1 - a/c has zero constant term
     w = [ring.zero] + [ring.neg(ring.mul(cinv, x)) for x in a[1:]]

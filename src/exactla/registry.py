@@ -44,8 +44,7 @@ def _needs_field(ring, n):
 
 
 def _needs_domain(ring, n):
-    s = ring.spec
-    if s.is_field or (s.is_integral_domain and s.has_exact_division):
+    if ring.spec.is_integral_domain:
         return None
     return "%s is not a field or exact-division domain" % ring.name
 

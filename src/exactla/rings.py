@@ -72,15 +72,15 @@ from .errors import (DftUnavailable, IntegerNotInvertible, NonTriangularIdeal,
 class RingSpec:
     """Declared capabilities of a ring.
 
+    is_integral_domain: no zero divisors, and exact_div divides whenever
+    the quotient exists (so fraction-free elimination runs).
     max_invertible_integer: None means unbounded (division by any k!,
     when possible at all, is exact and unique); 0 means no integer
-    division is available.  Roots of unity are not declared here: a ring
-    has the ones its principal_root returns.
+    division is available.  Neither the characteristic nor roots of unity
+    are declared here: a ring has the roots its principal_root returns.
     """
-    characteristic: int
     is_integral_domain: bool
     is_field: bool
-    has_exact_division: bool
     max_invertible_integer: object
 
     def allows_div_by_int(self, k):
@@ -187,8 +187,9 @@ class Ring:
 
     def krylov(self, rows, sparse=False):
         # sparse and a zero in the matrix: a run gathers each row's nonzeros below
-        # len(v) once, and each step v at their columns (one pair: its mul; none: zero)
-        dot, mul, zero = self.dot, self.mul, self.zero
+        # len(v) once, and each step is one dot with v at their columns (Ring.dot
+        # makes one mul for one pair and none for no pairs)
+        dot = self.dot
         support = sparse and [[j for j, x in enumerate(row) if not self.is_zero(x)] for row in rows]
         if support and sum(map(len, support)) == len(rows) ** 2:
             support = None
@@ -201,8 +202,7 @@ class Ring:
             for _ in range(k):
                 get = v.__getitem__
                 v = ([dot(row, v) for row in block] if not support else
-                     [dot(x, list(map(get, js))) if len(js) > 1 else mul(x[0], get(js[0])) if js
-                      else zero for x, js in zip(xs, cols)])
+                     [dot(x, list(map(get, js))) for x, js in zip(xs, cols)])
                 out.append(v)
             return out
         return run
@@ -242,7 +242,7 @@ class IntegerRing(Ring):
     name = "Z"
     zero = 0
     one = 1
-    spec = RingSpec(0, True, False, True, None)
+    spec = RingSpec(True, False, None)
 
     def from_int(self, k):
         return k
@@ -350,7 +350,7 @@ class RationalField(Ring):
     name = "Q"
     zero = Fraction(0)
     one = Fraction(1)
-    spec = RingSpec(0, True, True, True, None)
+    spec = RingSpec(True, True, None)
 
     def from_int(self, k):
         return Fraction(k)
@@ -447,7 +447,7 @@ class IntegersMod(Ring):
         self.zero = 0
         self.one = 1 % m
         prime = _is_probable_prime(m)
-        self.spec = RingSpec(m, prime, prime, prime, m - 1 if prime else 0)
+        self.spec = RingSpec(prime, prime, m - 1 if prime else 0)
 
     def from_int(self, k):
         return k % self.m
@@ -756,8 +756,7 @@ class PolynomialRing(Ring):
         self.zero = ()
         self.one = (base.one,)
         b = base.spec
-        self.spec = RingSpec(b.characteristic, b.is_integral_domain, False,
-                             b.has_exact_division, b.max_invertible_integer)
+        self.spec = RingSpec(b.is_integral_domain, False, b.max_invertible_integer)
 
     def from_int(self, k):
         c = self.base.from_int(k)
@@ -1182,7 +1181,7 @@ class QuotientRing(PolynomialRing):
         self.modulus = self._reduce_coefficients(top)
         self.name = "zp:%d[%s]/%s" % (
             p, ",".join(varnames), ";".join(self._poly.format(g) for g in ideal))
-        self.spec = RingSpec(p, False, False, False, p - 1)
+        self.spec = RingSpec(False, False, p - 1)
         d = self.degrees[-1]
         self.span = (base.span if k > 1 else 1) * (2 * d - 1)
         self.size = (base.size if k > 1 else 1) * d       # residues in a normal form
@@ -1298,22 +1297,16 @@ class QuotientRing(PolynomialRing):
         return out
 
     def dot(self, xs, ys):
-        """The middle block of one product: xs stacked forward, ys
-        backward (one mul for a single pair)."""
+        """The middle block of one product: xs stacked forward, ys backward."""
         n = min(len(xs), len(ys))
-        if n < 2:
-            return Ring.dot(self, xs, ys)
         span = self.span
-        return self._reduce_flat(self._kron(self._stack(xs[:n]), self._stack(ys[n - 1::-1]),
+        return self._reduce_flat(self._kron(self._stack(xs[:n]), self._stack(ys[:n][::-1]),
                                             (n - 1) * span, span))
 
     def submul(self, ys, c, xs):
         """One product of the flat form of -c and the stacked xs, the
-        stacked ys added before the reduction (one mul and one sub for a
-        single pair)."""
+        stacked ys added before the reduction."""
         n = min(len(ys), len(xs))
-        if n < 2:
-            return Ring.submul(self, ys, c, xs)
         p, span, reduce = self.p, self.span, self._reduce_flat
         c = self._kron([-r % p for r in self._flat(c)], self._stack(xs[:n]), 0, n * span)
         y = self._stack(ys[:n])
@@ -1374,8 +1367,7 @@ class FractionField(Ring):
         self.name = "Frac(%s)" % base.name
         self.zero = (base.zero, base.one)
         self.one = (base.one, base.one)
-        b = base.spec
-        self.spec = RingSpec(b.characteristic, True, True, True, b.max_invertible_integer)
+        self.spec = RingSpec(True, True, base.spec.max_invertible_integer)
 
     def make(self, num, den):
         base = self.base
@@ -1477,8 +1469,7 @@ class SeriesRing(Ring):
         self._split = (type(base) in (IntegersMod, IntegerRing, QuotientRing)
                        or isinstance(base, PolynomialRing) and base.base is ZZ)
         self._zp = type(base) is IntegersMod
-        b = base.spec
-        self.spec = RingSpec(b.characteristic, False, False, False, b.max_invertible_integer)
+        self.spec = RingSpec(False, False, base.spec.max_invertible_integer)
 
     def from_base(self, c):
         return (c,) + (self.base.zero,) * self.order

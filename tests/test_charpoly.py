@@ -173,8 +173,8 @@ def test_newton_roundtrip_random(rng):
 
 def test_preparata_sarwate_matrix_product_count(monkeypatch):
     calls = []
-    real = cp._ps_mat_mul
-    monkeypatch.setattr(cp, "_ps_mat_mul", lambda x, y: calls.append(1) or real(x, y))
+    real = cp.mat_mul
+    monkeypatch.setattr(cp, "mat_mul", lambda x, y: calls.append(1) or real(x, y))
     rng = Rng(10)
     a = random_int_matrix(ZZ, rng, 9, -9, 9)
     got = cp.charpoly_preparata_sarwate(a)

@@ -14,7 +14,7 @@ from test_pinv import _gauss_rank
 from exactla.errors import (DimensionMismatch, ExactDivisionFailed, NotSurjective,
                             ZeroConnectedMinor)
 from exactla.matrix import DenseMatrix, mat_mul
-from exactla.rings import QQ, ZZ, IntegersMod
+from exactla.rings import QQ, ZZ, IntegersMod, SeriesRing
 
 F = IntegersMod(10007)
 
@@ -121,6 +121,13 @@ def test_division_by_a_zero_divisor_is_exact_division_failed():
                             (jordan_bareiss, [[2, 1, 1], [1, 1, 1], [1, 3, 1]])):
         with pytest.raises(ExactDivisionFailed, match="2 is a zero divisor mod 12"):
             decompose(DenseMatrix.from_rows(z12, rows))
+    # a series pivot whose constant term is not a unit, over a field or not
+    for base in (QQ, ZZ):
+        s = SeriesRing(base, 2)
+        z = (base.zero, base.one, base.zero)
+        with pytest.raises(ExactDivisionFailed, match="not a unit"):
+            det_fraction_free(DenseMatrix.from_rows(s, [[z, s.one, s.one], [s.one, z, s.one],
+                                                        [s.one, s.one, z]]))
 
 
 def test_jordan_bareiss_entries_are_bordered_minors(rng):

@@ -815,6 +815,23 @@ def test_quotient_hooks_past_the_table_bound(data):
         _assert_hooks_literal(ring, a, zero, c, xs, ys, order)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_dot_submul_on_short_and_unequal_inputs(data):
+    # lengths 0, 1 and 2 and lists of unequal length take the same stacked
+    # product as longer ones: one level, a two-level tower, and no table
+    ring = data.draw(st.sampled_from((_quotient_pair(QUOTIENT_SPECS[0])[0],
+                                      _quotient_pair(QUOTIENT_SPECS[1])[0],
+                                      LARGE_QUOTIENTS["zp:7[x]/1*x^363+3*x^5+-1"])))
+    element = quotient_elements(ring) if ring._table is not None else large_quotient_elements(ring)
+    xs = data.draw(st.lists(element, max_size=2))
+    ys = data.draw(st.lists(element, max_size=2))
+    c = data.draw(element)
+    for xs, ys in ((xs, ys), (ys, xs)):
+        assert ring.dot(xs, ys) == Ring.dot(ring, xs, ys)
+        assert ring.submul(ys, c, xs) == Ring.submul(ring, ys, c, xs)
+
+
 def test_quotient_hooks_on_zero_divisors_and_zero():
     # (x-1)(x^2+x+1) = x^3-1, (x+1)^2 (x+1)^2 = x^4+1 over Z/2, and
     # (x-5)(x+5) = x^2-3 over Z/11 (in the lower level of the tower)
@@ -1238,24 +1255,31 @@ def test_mat_mul_agrees_uncounted_and_counted(p, n):
     assert a.apply(b.col(0)) == _counted(a).apply(b.col(0))
 
 
-def test_mat_mul_auto_takes_strassen_only_over_a_literal_matmul(monkeypatch):
-    # Z/p has a native matmul, which beats Strassen at every size measured;
-    # Z and the quotient rings keep the literal Ring.matmul and Strassen
-    # above the cutoff, counted or not
+def test_mat_mul_default_never_takes_strassen(monkeypatch):
+    # the default is the ring's matmul above any cutoff, over a native
+    # matmul (Z/p) or the literal Ring.matmul (Z, the quotient rings),
+    # counted or not; Strassen runs only when asked for, to the same product
     calls = []
     real = matrix._winograd
     monkeypatch.setattr(matrix, "_winograd", lambda *args: calls.append(1) or real(*args))
-    zp = IntegersMod(10007)
-    a, b = _matrix(zp, 128, 1), _matrix(zp, 128, 2)
-    assert matrix.mat_mul(a, b).entries == matrix.mat_mul(a, b, "classical").entries
-    small = _matrix(zp, 8, 3)
-    for m in (small, _counted(small)):
-        matrix.mat_mul(m, m, "auto", 4)
-    assert not calls
-    quotient = ring_from_string("zp:7[x]/1*x^3+-1")
     rng = Rng(4)
-    for ring in (ZZ, CountingRing(ZZ), quotient, CountingRing(quotient)):
-        m = DenseMatrix(ring, 8, 8, [ring.from_int(rng.int_between(-9, 9)) for _ in range(64)])
-        calls.clear()
-        assert matrix.mat_mul(m, m, "auto", 4).entries == matrix.mat_mul(m, m, "classical").entries
-        assert calls, ring.name
+
+    def square(ring, n):
+        return DenseMatrix(ring, n, n, [ring.from_int(rng.int_between(-9, 9))
+                                        for _ in range(n * n)])
+    n = matrix.DEFAULT_STRASSEN_CUTOFF + 1
+    for ring in (IntegersMod(10007), ZZ):
+        a, b = square(ring, n), square(ring, n)
+        assert matrix.mat_mul(a, b).entries == matrix.mat_mul(a, b, "classical").entries
+    assert not calls
+    for inner in (IntegersMod(10007), ZZ, ring_from_string("zp:7[x]/1*x^3+-1")):
+        for ring in (inner, CountingRing(inner)):
+            m = square(ring, 8)
+            classical = matrix.mat_mul(m, m, cutoff=4).entries
+            assert not calls, ring.name
+            assert classical == matrix.mat_mul(m, m, "classical").entries
+            assert matrix.mat_mul(m, m, "strassen", 4).entries == classical
+            assert calls, ring.name
+            calls.clear()
+    with pytest.raises(ValueError):
+        matrix.mat_mul(m, m, "auto")

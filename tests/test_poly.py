@@ -3,8 +3,8 @@
 import pytest
 
 from exactla import poly
-from exactla.errors import DegreeTooHigh, DftUnavailable, NonUnitConstantTerm
-from exactla.rings import ZZ, CountingRing, IntegersMod
+from exactla.errors import DegreeTooHigh, DftUnavailable, NonUnitConstantTerm, ZeroDivisor
+from exactla.rings import QQ, ZZ, CountingRing, IntegersMod
 from exactla.rng import Rng
 
 F101 = IntegersMod(101)
@@ -102,8 +102,12 @@ def test_series_inverse_examples():
     assert poly.series_inverse(ZZ, [1, -1, 0], 2) == [1, 1, 1]
     assert poly.series_inverse(ZZ, [1, 0, 0, 0], 3) == [1, 0, 0, 0]
     assert poly.series_inverse(ZZ, [1, 1, 0, 0], 3) == [1, -1, 1, -1]
-    with pytest.raises(NonUnitConstantTerm):
-        poly.series_inverse(ZZ, [2, 1], 1)
+    # a constant term that is not a unit: 2 over Z and over Z/12, and zero
+    # over the fields Z/7 and Q
+    for ring, a in ((ZZ, [2, 1]), (IntegersMod(12), [2, 1]), (IntegersMod(7), [0, 1]),
+                    (QQ, [QQ.zero, QQ.one])):
+        with pytest.raises(NonUnitConstantTerm):
+            poly.series_inverse(ring, a, 1)
 
 
 def test_series_inverse_property(rng):
@@ -193,3 +197,8 @@ def test_divmod_and_exact_div(rng):
         back = poly.add(ZZ, poly.poly_mul(ZZ, q, b, "schoolbook"), r)
         assert back == poly.strip(ZZ, a)
         assert len(r) < len(b) or not r
+    for b in ([], [0], [0, 0]):         # the zero polynomial, stripped or not
+        with pytest.raises(ZeroDivisor):
+            poly.divmod_poly(ZZ, [1, 2], b)
+        with pytest.raises(ZeroDivisor):
+            poly.exact_div_poly(F101, [], b)

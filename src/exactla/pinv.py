@@ -1,13 +1,22 @@
 """Gram coefficients and Moore-Penrose rank-r inverses: the transpose
 (formally real) case and the arbitrary-field generalization through the
-t-twisted star operator."""
+t-twisted star operator.
+
+The generalized mode runs over the polynomial ring K[t], or Z[t] for
+input over exactly Q, and makes one K(t) fraction per result entry.  The
+shifted star S' = t^(n-1) A° has its entries in K[t], the charpoly of
+A S' gives c'_k = t^(k(n-1)) a_k, and every power of t cancels in the
+alternating Gram sum, so A^+ = N / c'_r with N over K[t].  Over Q,
+A = B/d with B over Z gives A^+ = d B^+.
+"""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .charpoly import charpoly_berkowitz
 from .errors import DimensionMismatch, GramCoefficientZero, Inconsistent
 from .matrix import DenseMatrix, mat_mul
-from .rings import FractionField, PolynomialRing
+from .rings import QQ, ZZ, FractionField, PolynomialRing, _clear_denominators
 
 
 def rational_function_field(base_field, var="t"):
@@ -25,12 +34,9 @@ def embed_in_kt(a, kt=None):
 def star_operator(a):
     """A° with entries (A°)_{i,j} = t^(j-i) * a_{j,i} over K(t)."""
     kt = a.ring
-    pr = kt.base
-
-    def t_pow(e):
-        mono = (pr.base.zero,) * abs(e) + (pr.base.one,)
-        return kt.from_base(mono) if e >= 0 else (pr.one, mono)   # 1/t^-e is canonical
-    return _twisted_transpose(a, t_pow)
+    t_pow = _monomials(kt.base)
+    return _twisted_transpose(a, lambda e: kt.from_base(t_pow(e)) if e >= 0
+                              else (kt.base.one, t_pow(-e)))   # 1/t^-e is canonical
 
 
 def _twisted_transpose(a, scale):
@@ -59,7 +65,8 @@ class GramSpectrum:
     norm_exponents: list
 
     def laurent(self, k):
-        """(exponent e, ascending int-poly coefficients): a_k(t) = t^-e * poly."""
+        """(exponent e, a_k as the K(t) element (num, den)): den is a power
+        of t of degree at most e, so t^e * a_k is a polynomial."""
         if self.mode != "generalized":
             raise ValueError("laurent data only exists in generalized mode")
         return self.norm_exponents[k - 1], self.coefficients[k - 1]
@@ -71,9 +78,48 @@ def gram_coefficients(a, mode="plain"):
         return GramSpectrum("plain", a.ring, _gram(a, a.transpose()), [])
     if mode != "generalized":
         raise ValueError("mode must be 'plain' or 'generalized'")
-    akt, kt = embed_in_kt(a)
-    exps = [k * (a.cols - k) for k in range(1, min(a.rows, a.cols) + 1)]
-    return GramSpectrum("generalized", kt, _gram(akt, star_operator(akt)), exps)
+    kt = rational_function_field(a.ring)
+    b, star, into = _shifted(a, kt)
+    n = a.cols
+    t_pow = _monomials(b.ring)
+    coeffs = [into(c, t_pow(k * (n - 1)), -2 * k)    # a_k = c'_k / (d^2k t^(k(n-1)))
+              for k, c in enumerate(_gram(b, star), 1)]
+    exps = [k * (n - k) for k in range(1, len(coeffs) + 1)]
+    return GramSpectrum("generalized", kt, coeffs, exps)
+
+
+def _monomials(pr):
+    """e -> t^e in the polynomial ring pr."""
+    zero, one = pr.base.zero, pr.base.one
+    return lambda e: (zero,) * e + (one,)
+
+
+def _shifted(a, kt):
+    """(B, S', into) with A = B/d, S' = t^(n-1) B° over K[t], and
+    into(num, den, k) the element d^k num/den of kt.  Over exactly Q, B
+    is over Z[t], d is the lcm of A's denominators and into reduces over
+    Z[t] before it makes den monic; otherwise d = 1 and into is kt.make."""
+    if a.ring is QQ:
+        pr = PolynomialRing(ZZ, "t")
+        ints, d = _clear_denominators(a.entries)
+        b = DenseMatrix(pr, a.rows, a.cols, [(x,) if x else () for x in ints])
+        zt = FractionField(pr)
+
+        def into(num, den, k):
+            num, den = zt.make(num, den)
+            lead = den[-1]
+            scale = Fraction(d) ** k
+            return (tuple(Fraction(c, lead) * scale for c in num),
+                    tuple(Fraction(c, lead) for c in den))
+    else:
+        pr = kt.base
+        b = a.with_ring(pr, pr.from_base)
+
+        def into(num, den, k):
+            return kt.make(num, den)
+    t_pow = _monomials(pr)
+    shift = a.cols - 1
+    return b, _twisted_transpose(b, lambda e: t_pow(e + shift)), into
 
 
 def _gram(a, star):
@@ -103,17 +149,25 @@ def pinv_rank_r(a, r, mode="plain", tau=None):
     """Moore-Penrose inverse in rank r by the alternating Gram formula.
 
     mode 'plain' uses the transpose star over the base field; mode
-    'generalized' works over K(t) (or over K after the optional
-    specialization t -> tau, which must avoid the zeros of a_r(t)).
+    'generalized' works over K(t) (see the module docstring), or over K
+    after the optional specialization t -> tau, which must avoid the
+    zeros of a_r(t).  A negative r is a ValueError.
     """
+    if r < 0:
+        raise ValueError("rank r must be nonnegative, got %d" % r)
     if mode == "plain":
-        return _pinv_formula(a, a.transpose(), r)
-    if mode != "generalized":
+        star = a.transpose()
+    elif mode != "generalized":
         raise ValueError("mode must be 'plain' or 'generalized'")
-    if tau is not None:
-        return _pinv_formula(a, _star_at(a, tau), r)
-    akt, _ = embed_in_kt(a)
-    return _pinv_formula(akt, star_operator(akt), r)
+    elif tau is not None:
+        star = _star_at(a, tau)
+    else:
+        return _pinv_over_kt(a, r)
+    ring = a.ring
+    if r == 0:
+        return PinvResult(DenseMatrix.zeros(ring, a.cols, a.rows), 0)
+    num, ar = _pinv_formula(a, star, r)
+    return PinvResult(num.scale(ring.inverse_of_unit(ar)), r)
 
 
 def _star_at(a, tau):
@@ -123,11 +177,22 @@ def _star_at(a, tau):
                               else ring.inverse_of_unit(ring.pow(tau, -e)))
 
 
+def _pinv_over_kt(a, r):
+    """The generalized inverse over K(t), computed over K[t] (Z[t] for
+    exactly Q) with one fraction per entry."""
+    kt = rational_function_field(a.ring)
+    if r == 0:
+        return PinvResult(DenseMatrix.zeros(kt, a.cols, a.rows), 0)
+    b, star, into = _shifted(a, kt)
+    num, cr = _pinv_formula(b, star, r)
+    return PinvResult(num.with_ring(kt, lambda x: into(x, cr, 1)), r)   # d N / c'_r
+
+
 def _pinv_formula(a, star, r):
+    """(N, a_r) with A^+ = N / a_r for 1 <= r: N is the alternating Gram
+    sum (sum over i of (-1)^i a_(r-1-i) (A* A)^i) A*."""
     ring = a.ring
     n = a.cols
-    if r == 0:
-        return PinvResult(DenseMatrix.zeros(ring, n, a.rows), 0)
     ga = [ring.one] + _gram(a, star)                 # a_0..a_min
     if r >= len(ga) or ring.is_zero(ga[r]):
         raise GramCoefficientZero("a_%d is zero: rank < %d" % (r, r))
@@ -141,8 +206,7 @@ def _pinv_formula(a, star, r):
         acc = acc.add(power.scale(coef))
         if i < r - 1:
             power = mat_mul(power, gmat)
-    arinv = ring.inverse_of_unit(ga[r])
-    return PinvResult(mat_mul(acc, star).scale(arinv), r)
+    return mat_mul(acc, star), ga[r]
 
 
 def solve_uniform(a, v, r, mode="plain", tau=None):

@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_minors
 from exactla import pinv as pv
+from exactla.charpoly import charpoly_berkowitz
 from exactla.elimination import det_field
 from exactla.errors import GramCoefficientZero, Inconsistent
 from exactla.matrix import DenseMatrix, mat_mul
-from exactla.rings import QQ, IntegersMod
+from exactla.rings import QQ, CountingRing, IntegersMod, OpStats
 
 F5 = IntegersMod(5)
 F7 = IntegersMod(7)
@@ -79,6 +82,7 @@ def test_generalized_gram_laurent_structure(rng):
         num, den = coeff
         # denominator is a pure power of t of the recorded exponent or less
         assert sum(1 for c in den if c != 0) == 1
+        assert len(den) - 1 <= exp
 
 
 def test_rank_examples(rng):
@@ -245,3 +249,130 @@ def test_specialized_pinv(rng):
             break
         else:
             continue
+
+
+@pytest.mark.parametrize("mode", ["plain", "generalized"])
+def test_negative_rank_is_refused(mode):
+    a = _qmat([[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        pv.pinv_rank_r(a, -1, mode)
+    with pytest.raises(ValueError):
+        pv.solve_uniform(a, [Fraction(1), Fraction(0)], -1, mode)
+
+
+# counted plain and tau-mode runs over Q on a rank-2 3x4 matrix: OpStats
+# and max_bits of the Gram charpoly, the alternating sum and the one
+# inverse of a_r, which the generalized mode's K[t] form leaves alone
+PINV_COUNTED_ROWS = [[1, 2, 0, -1], [2, 4, 0, -2], [0, 1, 3, Fraction(1, 2)]]
+
+
+@pytest.mark.parametrize("mode, tau, stats, max_bits", [
+    ("plain", None, OpStats(186, 0, 263, 1, 0), 11),
+    ("generalized", Fraction(2), OpStats(186, 0, 284, 4, 0), 19),
+])
+def test_counted_pinv_over_q_is_pinned(mode, tau, stats, max_bits):
+    counted = CountingRing(QQ, track_bits=True)
+    a = DenseMatrix.from_rows(counted, [[Fraction(x) for x in r] for r in PINV_COUNTED_ROWS])
+    x = pv.pinv_rank_r(a, 2, mode, tau).matrix
+    assert (counted.stats, counted.max_bits) == (stats, max_bits)
+    aq, xq = a.with_ring(QQ, Fraction), x.with_ring(QQ, Fraction)
+    assert mat_mul(mat_mul(aq, xq), aq).eq(aq)
+    assert mat_mul(mat_mul(xq, aq), xq).eq(xq)
+
+
+def _kt_reference(a, r):
+    """(Gram coefficients, inverse or GramCoefficientZero) by the literal
+    K(t) sequence: embed_in_kt, star_operator, then the Gram charpoly and
+    the alternating sum with every operation in K(t)."""
+    akt, kt = pv.embed_in_kt(a)
+    star = pv.star_operator(akt)
+    m, n = a.rows, a.cols
+    cp = charpoly_berkowitz(mat_mul(akt, star))
+    gram = [cp.coeffs[k] if (m - k) % 2 == 0 else kt.neg(cp.coeffs[k])
+            for k in range(1, min(m, n) + 1)]
+    if r == 0:
+        return gram, DenseMatrix.zeros(kt, n, m)
+    ga = [kt.one] + gram
+    if r >= len(ga) or kt.is_zero(ga[r]):
+        return gram, GramCoefficientZero
+    gmat = mat_mul(star, akt)
+    acc = DenseMatrix.zeros(kt, n, n)
+    power = DenseMatrix.identity(kt, n)
+    for i in range(r):
+        coef = ga[r - 1 - i]
+        if i % 2 == 1:
+            coef = kt.neg(coef)
+        acc = acc.add(power.scale(coef))
+        if i < r - 1:
+            power = mat_mul(power, gmat)
+    return gram, mat_mul(acc, star).scale(kt.inverse_of_unit(ga[r]))
+
+
+def _check_against_kt_reference(a, r):
+    gram, want = _kt_reference(a, r)
+    got = pv.gram_coefficients(a, "generalized").coefficients
+    assert got == gram and repr(got) == repr(gram)
+    if want is GramCoefficientZero:
+        with pytest.raises(GramCoefficientZero):
+            pv.pinv_rank_r(a, r, "generalized")
+        return
+    res = pv.pinv_rank_r(a, r, "generalized")
+    assert res.rank == r and (res.matrix.rows, res.matrix.cols) == (a.cols, a.rows)
+    assert res.matrix.entries == want.entries
+    assert repr(res.matrix.entries) == repr(want.entries)
+
+
+LARGE_DENOMINATOR = Fraction(7, 10 ** 30 + 57)
+PROPERTY_RINGS = (QQ, F5, F7, CountingRing(QQ))
+
+
+@st.composite
+def generalized_pinv_cases(draw):
+    """A matrix over Q (small denominators, sometimes one entry with a
+    large one), F5, F7 or CountingRing(QQ), 1..4 by 1..4: dense, zero or
+    a product of 1..min(m,n)-1 columns and rows (rank deficient); and r
+    from 0 to one past min(m, n)."""
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if isinstance(ring, IntegersMod):
+        value = st.integers(0, ring.m - 1)
+    else:
+        value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+    def block(rows, cols):
+        return [[draw(value) for _ in range(cols)] for _ in range(rows)]
+    kind = draw(st.sampled_from(("dense", "zero", "deficient")))
+    if kind == "zero":
+        rows = [[ring.zero] * n for _ in range(m)]
+    elif kind == "deficient" and min(m, n) > 1:
+        k = draw(st.integers(1, min(m, n) - 1))
+        u, v = block(m, k), block(k, n)
+        rows = [[ring.dot(u[i], [v[l][j] for l in range(k)]) for j in range(n)]
+                for i in range(m)]
+    else:
+        rows = block(m, n)
+    if not isinstance(ring, IntegersMod) and kind != "zero" and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = LARGE_DENOMINATOR
+    return DenseMatrix.from_rows(ring, rows), draw(st.integers(0, min(m, n) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generalized_pinv_cases())
+def test_generalized_pinv_matches_the_kt_sequence(case):
+    a, r = case
+    _check_against_kt_reference(a, r)
+
+
+@pytest.mark.parametrize("ring, rows, r", [
+    (QQ, [[1, Fraction(-2, 3), 0, 4]], 1),                      # 1xN
+    (F5, [[1], [4], [0], [2]], 1),                              # Nx1
+    (F7, [[0, 0, 0], [0, 0, 0]], 1),                            # zero: a_1 = 0
+    (QQ, [[1, 2], [3, 4]], 0),                                  # r = 0
+    (CountingRing(QQ), [[1, 2, 3], [2, 4, 6], [1, 0, 1]], 3),   # r above the rank
+    (QQ, [[1, 2, 3], [2, 4, 6], [LARGE_DENOMINATOR, 0, 1]], 2),
+    (F7, [[1, 2, 3, 4], [2, 4, 6, 1], [3, 6, 2, 5]], 1),        # rank 1 over F7
+])
+def test_generalized_pinv_edge_cases_match_the_kt_sequence(ring, rows, r):
+    conv = int if isinstance(ring, IntegersMod) else Fraction
+    _check_against_kt_reference(DenseMatrix.from_rows(ring, [[conv(x) for x in row]
+                                                            for row in rows]), r)

@@ -33,7 +33,7 @@ def cmd_charpoly(args):
     if m.rows != m.cols:
         raise DimensionMismatch("charpoly needs a square matrix")
     algo = registry.get(args.algo)
-    print(algo.run(algo.prepare(m)).format())
+    print(algo.charpoly(m).format())
     return 0
 
 

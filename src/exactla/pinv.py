@@ -153,8 +153,7 @@ def pinv_rank_r(a, r, mode="plain", tau=None):
     after the optional specialization t -> tau, which must avoid the
     zeros of a_r(t).  A negative r is a ValueError.
     """
-    if r < 0:
-        raise ValueError("rank r must be nonnegative, got %d" % r)
+    _check_rank(r)
     if mode == "plain":
         star = a.transpose()
     elif mode != "generalized":
@@ -168,6 +167,11 @@ def pinv_rank_r(a, r, mode="plain", tau=None):
         return PinvResult(DenseMatrix.zeros(ring, a.cols, a.rows), 0)
     num, ar = _pinv_formula(a, star, r)
     return PinvResult(num.scale(ring.inverse_of_unit(ar)), r)
+
+
+def _check_rank(r):
+    if r < 0:
+        raise ValueError("rank r must be nonnegative, got %d" % r)
 
 
 def _star_at(a, tau):
@@ -210,17 +214,38 @@ def _pinv_formula(a, star, r):
 
 
 def solve_uniform(a, v, r, mode="plain", tau=None):
-    """X = pinv * V when A * pinv * V = V; Inconsistent otherwise."""
+    """X = pinv * V when A * pinv * V = V; Inconsistent otherwise.  The
+    generalized mode without tau returns X over K(t) and checks over K[t]
+    (see _solve_over_kt)."""
     if len(v) != a.rows:
         raise DimensionMismatch("rhs length %d for %d rows" % (len(v), a.rows))
-    res = pinv_rank_r(a, r, mode, tau)
-    ring = res.matrix.ring
-    aa, vv = a, list(v)
-    if ring is not a.ring:
-        # generalized mode lifted the problem into K(t)
-        aa, _ = embed_in_kt(a, ring)
-        vv = [ring.from_base(ring.base.from_base(x)) for x in v]
-    x = res.matrix.apply(vv)
-    if any(not ring.eq(w, want) for w, want in zip(aa.apply(x), vv)):
+    if mode == "generalized" and tau is None:
+        x, consistent = _solve_over_kt(a, v, r)
+    else:
+        x = pinv_rank_r(a, r, mode, tau).matrix.apply(v)
+        consistent = all(map(a.ring.eq, a.apply(x), v))
+    if not consistent:
         raise Inconsistent("V is outside the column space at rank %d" % r)
     return x
+
+
+def _solve_over_kt(a, v, r):
+    """(X, whether A X = V) for the generalized inverse.  With A = B/d,
+    V = W/e (d = e = 1 unless over exactly Q, where B and W are over Z)
+    and A^+ = d N / c'_r, A X = V holds exactly when B (N W) = c'_r W
+    over K[t], and X = d (N W) / (e c'_r) is one K(t) fraction per entry."""
+    _check_rank(r)
+    kt = rational_function_field(a.ring)
+    if r == 0:
+        return [kt.zero] * a.cols, all(map(a.ring.is_zero, v))
+    b, star, into = _shifted(a, kt)
+    num, cr = _pinv_formula(b, star, r)
+    pr = b.ring
+    if a.ring is QQ:
+        ints, e = _clear_denominators(v)
+        w, den = [(x,) if x else () for x in ints], pr.mul(cr, (e,))
+    else:
+        w, den = [pr.from_base(x) for x in v], cr
+    y = num.apply(w)
+    consistent = all(map(pr.eq, b.apply(y), [pr.mul(cr, x) for x in w]))
+    return [into(x, den, 1) for x in y], consistent

@@ -698,9 +698,16 @@ def _signed_kronecker(a, la, b, lb, size):
     width = (bits + la.bit_length() + 8) // 8
     pa = _signed_pack(a, width)
     prod = pa * pa if square else pa * _signed_pack(b, width)
-    n = la + lb - 1
+    return _signed_unpack(prod, width, la + lb - 1, size)
+
+
+def _signed_unpack(x, width, n, size):
+    """The first `size` of the n signed `width`-byte slots of
+    x = sum(d[i] * 2^(8*width*i)), each d[i] in [-2^(8*width-1),
+    2^(8*width-1)): half a slot added to every slot, so that the slots
+    read as unsigned bytes."""
     half = 1 << (8 * width - 1)
-    raw = (prod + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")).to_bytes(
+    raw = (x + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")).to_bytes(
         width * n, "little")
     unpack = int.from_bytes
     return [unpack(raw[i:i + width], "little") - half for i in range(0, width * size, width)]

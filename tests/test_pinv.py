@@ -376,3 +376,69 @@ def test_generalized_pinv_edge_cases_match_the_kt_sequence(ring, rows, r):
     conv = int if isinstance(ring, IntegersMod) else Fraction
     _check_against_kt_reference(DenseMatrix.from_rows(ring, [[conv(x) for x in row]
                                                             for row in rows]), r)
+
+
+def _kt_solve_reference(a, v, r):
+    """solve_uniform's generalized result by the literal K(t) check:
+    X = A^+ V and A X = V with A, V and every operation in K(t); or the
+    exception class it raises."""
+    try:
+        inverse = pv.pinv_rank_r(a, r, "generalized").matrix
+    except GramCoefficientZero:
+        return GramCoefficientZero
+    kt = inverse.ring
+    akt, _ = pv.embed_in_kt(a, kt)
+    vv = [kt.from_base(kt.base.from_base(x)) for x in v]
+    x = inverse.apply(vv)
+    if any(not kt.eq(w, want) for w, want in zip(akt.apply(x), vv)):
+        return Inconsistent
+    return x
+
+
+@st.composite
+def solve_cases(draw):
+    """A generalized_pinv_cases matrix and r (or its rank), and V: A times
+    a drawn vector (in the column space), or drawn (mostly outside it)."""
+    a, r = draw(generalized_pinv_cases())
+    if draw(st.booleans()):
+        r = pv.rank_from_gram(pv.gram_coefficients(a, "generalized"))
+    if isinstance(a.ring, IntegersMod):
+        value = st.integers(0, a.ring.m - 1)
+    else:
+        value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    if draw(st.booleans()):
+        return a, a.apply([draw(value) for _ in range(a.cols)]), r
+    return a, [draw(value) for _ in range(a.rows)], r
+
+
+@settings(max_examples=60, deadline=None)
+@given(solve_cases())
+def test_generalized_solve_checks_over_kt_polynomials_as_over_kt(case):
+    a, v, r = case
+    want = _kt_solve_reference(a, v, r)
+    if want in (GramCoefficientZero, Inconsistent):
+        with pytest.raises(want):
+            pv.solve_uniform(a, v, r, "generalized")
+        return
+    got = pv.solve_uniform(a, v, r, "generalized")
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("rows, v, r, want", [
+    ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], [1, 2, 0], 2, None),          # V in the column space
+    ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], [1, 0, 0], 2, Inconsistent),  # V outside it
+    ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], [1, 2, 0], 3, GramCoefficientZero),  # r above the rank
+    ([[1, 2], [3, 4]], [1, 1], 1, Inconsistent),                      # r below the rank
+    ([[1, 2], [3, 4]], [0, 0], 0, None),
+    ([[1, 2], [3, 4]], [1, 0], 0, Inconsistent),
+])
+def test_generalized_solve_edge_cases(rows, v, r, want):
+    a = _qmat(rows)
+    v = [Fraction(x) for x in v]
+    ref = _kt_solve_reference(a, v, r)
+    if want:
+        assert ref is want
+        with pytest.raises(want):
+            pv.solve_uniform(a, v, r, "generalized")
+    else:
+        assert repr(pv.solve_uniform(a, v, r, "generalized")) == repr(ref)

@@ -66,11 +66,11 @@ def _kronecker(a):
     if not depth or ring is not ZZ:
         return None
     degs = [0] * depth
-    sizes = [_sizes(x, depth, degs) for x in a.entries]
-    if 2 * sum(k for _, k in sizes) <= math.prod(d + 1 for d in degs) * sum(
-            1 for _, k in sizes if k):
+    norms, counts = zip(*[_sizes(x, depth, degs) for x in a.entries])
+    box = math.prod(d + 1 for d in degs)
+    if 2 * sum(counts) <= box * (len(counts) - counts.count(0)):
         return None
-    return _substitution(a, [norm for norm, _ in sizes], degs)
+    return _substitution(a, norms, degs)
 
 
 def _substitution(a, norms, degs):

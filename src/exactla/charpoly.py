@@ -14,7 +14,7 @@ from .elimination import (EchelonBasis, _jorbarsol_rows, det_field,
 from .errors import (NOT_A_UNIT, AdjointVanishes, ExactDivisionFailed,
                      IntegerNotInvertible)
 from .matrix import DenseMatrix, mat_mul
-from .rings import QQ, ZZ, FractionField, PolynomialRing, Ring, SeriesRing
+from .rings import FractionField, PolynomialRing, Ring, SeriesRing
 
 
 class CharPoly:
@@ -515,20 +515,8 @@ def _field_of_fractions(ring):
     """(field, embed, retract) for running field algorithms over a domain."""
     if ring.spec.is_field:
         return ring, (lambda x: x), (lambda x: x)
-    if ring is ZZ:
-        from fractions import Fraction
-
-        def back(q):
-            if q.denominator != 1:
-                raise ExactDivisionFailed("non-integral coefficient %s" % q)
-            return q.numerator
-        return QQ, (lambda x: Fraction(x)), back
     ff = FractionField(ring)
-
-    def back(fr):
-        num, den = fr
-        return ring.exact_div(num, den)
-    return ff, ff.from_base, back
+    return ff, ff.from_base, lambda fr: ring.exact_div(*fr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Characteristic-polynomial algorithm registry: where each algorithm
 applies, and the one place that decides which ring it runs on: Z input
-lifted to Q for the algorithm that needs a field, and Z[x1..xk] input
-evaluated into Z for the straight-line algorithms (the Kronecker lift)."""
+lifted to Q for an algorithm that refuses Z and accepts Q, and Z[x1..xk]
+input evaluated into Z for the straight-line algorithms (the Kronecker
+lift)."""
 
 import math
 from dataclasses import dataclass
@@ -10,8 +11,8 @@ from fractions import Fraction
 from . import charpoly as cp
 from .errors import NotApplicable, UnknownAlgorithm
 from .matrix import DenseMatrix
-from .rings import (QQ, ZZ, MultiPolynomialRing, PolynomialRing, _signed_pack,
-                    _signed_unpack)
+from .rings import (QQ, ZZ, MultiPolynomialRing, PolynomialRing, _kronecker_pack,
+                    _kronecker_unpack)
 
 
 @dataclass(frozen=True)
@@ -19,19 +20,19 @@ class Algo:
     id: str
     run: object                  # DenseMatrix -> CharPoly
     applicable: object           # (ring, n) -> reason-or-None
-    lifts: bool = False          # runs Z input over Q, where its results are integral
     # its ring ops branch on no entry value, except to skip zero entries, and
     # it divides only by the integers 1..n: it commutes with every ring map
     straight_line: bool = False
 
     def prepare(self, a):
         """The matrix to run on: a where the algorithm applies, a over Q for
-        Z input to a lifting algorithm (Q formats an integral result as Z
-        does, digest included), else NotApplicable with the reason."""
+        Z input where it applies over Q (its results are integral, and Q
+        formats them as Z does, digest included), else NotApplicable with
+        the reason."""
         reason = self.applicable(a.ring, a.rows)
         if reason is None:
             return a
-        if self.lifts and a.ring is ZZ:
+        if a.ring is ZZ and self.applicable(QQ, a.rows) is None:
             return a.with_ring(QQ, Fraction)
         raise NotApplicable(reason)
 
@@ -82,8 +83,8 @@ def _substitution(a, norms, degs):
     widths = [(bound.bit_length() + 8) // 8]
     for d in degs[:-1]:
         widths.append(widths[-1] * (n * d + 1))
-    return (a.with_ring(ZZ, lambda x: _evaluate(x, widths)),
-            lambda c: _unpack(c, widths))
+    return (a.with_ring(ZZ, lambda x: _kronecker_pack(x, widths)),
+            lambda c: _kronecker_unpack(c, widths))
 
 
 def _sizes(x, depth, degs):
@@ -100,23 +101,6 @@ def _sizes(x, depth, degs):
         norm += c_norm
         count += c_count
     return norm, count
-
-
-def _evaluate(x, widths):
-    if not widths:
-        return x
-    inner = widths[:-1]
-    return _signed_pack([_evaluate(c, inner) for c in x], widths[-1]) if x else 0
-
-
-def _unpack(h, widths):
-    if not widths:
-        return h
-    if not h:
-        return ()
-    width, inner = widths[-1], widths[:-1]
-    n = 1 + abs(h).bit_length() // (8 * width)     # h's slots, the top one nonzero
-    return tuple(_unpack(d, inner) for d in _signed_unpack(h, width, n, n))
 
 
 def _any(ring, n):
@@ -153,7 +137,7 @@ ALGORITHMS = [
     Algo("faddeev", _first, _needs_int_div, straight_line=True),
     Algo("leverrier", cp.charpoly_leverrier, _needs_int_div, straight_line=True),
     Algo("preparata_sarwate", cp.charpoly_preparata_sarwate, _needs_int_div, straight_line=True),
-    Algo("hessenberg", cp.charpoly_hessenberg, _needs_field, lifts=True),
+    Algo("hessenberg", cp.charpoly_hessenberg, _needs_field),
     Algo("bareiss_modified", cp.charpoly_bareiss_modified, _any),
     Algo("interpolation", cp.charpoly_interpolation, _needs_int_div),
     Algo("frobenius", cp.charpoly_frobenius, _needs_domain),

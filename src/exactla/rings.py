@@ -730,6 +730,26 @@ def _signed_pack(a, width):
     return packed
 
 
+def _kronecker_pack(x, widths):
+    """x nested len(widths) deep at x_l -> 2^(8 widths[l]), innermost first."""
+    if not widths:
+        return x
+    inner = widths[:-1]
+    return _signed_pack([_kronecker_pack(c, inner) for c in x], widths[-1]) if x else 0
+
+
+def _kronecker_unpack(h, widths):
+    """Inverts _kronecker_pack where every slot holds its signed value."""
+    if not widths:
+        return h
+    if not h:
+        return ()
+    width, inner = widths[-1], widths[:-1]
+    n = 2 + abs(h).bit_length() // (8 * width)     # h's slots and up to two zero ones
+    digits = poly.strip(ZZ, _signed_unpack(h, width, n, n))
+    return tuple(_kronecker_unpack(d, inner) for d in digits)
+
+
 def _prime_factors(n):
     out = set()
     d = 2
@@ -993,12 +1013,12 @@ def _gcd_int_poly(a, b):
     gcd with a positive leading coefficient.
 
     The heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989): the
-    integer gcd of the primitive parts' values at xi, read back as
-    balanced xi-adic digits, gives the gcd's primitive part.  With xi
+    integer gcd of the primitive parts' values at 2^(8w), read back as
+    signed w-byte slots, gives the gcd's primitive part.  With 2^(8w)
     above 2 min(|f|, |g|) + 1 (max norms of the primitive parts f and g)
     a candidate that divides both is the gcd, so every answer is exact;
-    xi grows by sympy's rule for up to six points (as many as sympy's
-    dup_zz_heu_gcd tries), and after that Euclid over Q answers."""
+    w is xi's byte count, xi grows from each point by sympy's rule for up
+    to six points (as many as sympy's dup_zz_heu_gcd tries), then Euclid."""
     if not a or not b:
         return _make_positive(a or b)
     ca, cb = math.gcd(*a), math.gcd(*b)
@@ -1009,29 +1029,21 @@ def _gcd_int_poly(a, b):
     g = [c // cb for c in b]
     xi = 2 * min(_max_abs(f), _max_abs(g)) + 29
     for _ in range(6):
-        h = math.gcd(_horner(f, xi), _horner(g, xi))
-        half = xi // 2
-        digits = []
-        while h:
-            d = h % xi
-            if d > half:
-                d -= xi
-            digits.append(d)
-            h = (h - d) // xi
+        w = (xi.bit_length() + 7) // 8
+        # the gcd is positive, so its top slot is too
+        digits = _kronecker_unpack(math.gcd(_horner(f, 8 * w), _horner(g, 8 * w)), [w])
         c = math.gcd(*digits)
-        if digits[-1] < 0:
-            c = -c
         digits = [d // c for d in digits]
         if _divides(digits, f) and _divides(digits, g):
             return [cg * d for d in digits]
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+        xi = (73794 << 10 * w) // 27011         # 73794 xi isqrt(isqrt(xi)) // 27011 at 2^(8w)
     return _gcd_int_poly_euclid(a, b)
 
 
-def _horner(f, x):
+def _horner(f, shift):
     acc = 0
     for c in reversed(f):
-        acc = acc * x + c
+        acc = (acc << shift) + c
     return acc
 
 

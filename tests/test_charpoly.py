@@ -4,11 +4,13 @@ cross-algorithm agreement."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import charpoly_cofactor, random_int_matrix
 from exactla import bench
 from exactla import charpoly as cp
-from exactla.errors import AdjointVanishes
+from exactla.errors import AdjointVanishes, ExactDivisionFailed
 from exactla.matrix import DenseMatrix, mat_mul
 from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod,
                            MultiPolynomialRing, PolynomialRing, QuotientRing,
@@ -232,6 +234,50 @@ def test_frobenius_block_polynomials_pinned():
         [(), (0, 0, 0, 0, -1400, 0, 1400, -1400, 0, 2800),
          (0, 300, 100, 8310, 2510, -1020, 3740, -200), (-225, -115, -1049, 80, -10), (1,)],
         [(), (1,)]]
+
+
+@st.composite
+def _z_matrices_e1_does_not_generate(draw):
+    """Z matrices on which e_1 does not generate (so Frobenius takes its
+    block chains): a k x k block repeated on the diagonal, bench group 5
+    at n <= 12, or the zero matrix; and 1 x 1 matrices, where it does."""
+    kind = draw(st.sampled_from(("repeated", "group5", "zero", "n1")))
+    if kind == "group5":
+        a = bench.generate_matrix(bench.BenchCase(5, draw(st.integers(2, 12)),
+                                                  draw(st.integers(1, 50))))
+        try:
+            cp._frobenius_simple(a)
+        except ExactDivisionFailed:
+            return a
+        return draw(st.nothing())
+    if kind == "n1":
+        return DenseMatrix.from_rows(ZZ, [[draw(st.integers(-99, 99))]])
+    k = draw(st.integers(1, 4))
+    n = k * draw(st.integers(2, 3))
+    if kind == "zero":
+        return DenseMatrix(ZZ, n, n, [0] * (n * n))
+    block = draw(st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                          min_size=k, max_size=k))
+    return DenseMatrix.from_rows(ZZ, [[block[i % k][j % k] if i // k == j // k else 0
+                                       for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_z_matrices_e1_does_not_generate())
+def test_frobenius_blocks_over_z_are_integral_and_monic(a):
+    n = a.rows
+    if n > 1:
+        with pytest.raises(ExactDivisionFailed):
+            cp._frobenius_simple(a)
+    blocks = cp.frobenius_block_polynomials(a)
+    pr = PolynomialRing(ZZ, "X")
+    prod = pr.one
+    for p in blocks:
+        assert all(type(c) is int for c in p) and p[-1] == 1, p
+        prod = pr.mul(prod, tuple(p))
+    berkowitz = cp.charpoly_berkowitz(a)
+    assert prod == tuple((-1) ** n * c for c in berkowitz.ascending())
+    assert cp.charpoly_frobenius(a).digest() == berkowitz.digest()
 
 
 class _BrokenInverse(RationalField):

@@ -460,6 +460,74 @@ def test_polynomial_gcd_matches_sympy():
                                        for c in reversed(want.all_coeffs())])), (qa, qb)
 
 
+# ---------------------------------------------------------------------------
+# the signed Kronecker codec, and GCDHEU reading its candidates through it
+
+def _codec_elements(depth, w, rng):
+    """Elements nested depth deep (no trailing zero at any level, the zero
+    element among them), whose coefficients include both slot limits of
+    w bytes."""
+    half = 1 << (8 * w - 1)
+    if not depth:
+        return [half - 1, -half, 0, 1, -1]
+    inner = _codec_elements(depth - 1, w, rng)
+    nonzero = [c for c in inner if c not in (0, ())]
+    out = [()] + [(c,) for c in nonzero]
+    for _ in range(40):
+        body = tuple(inner[rng.below(len(inner))] for _ in range(rng.below(4)))
+        out.append(body + (nonzero[rng.below(len(nonzero))],))
+    return out
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_kronecker_codec_round_trips_at_the_slot_limits(depth, w):
+    # an outer slot holds every inner element of up to 4 slots, signs included
+    widths = [w]
+    for _ in range(depth - 1):
+        widths.append(4 * widths[-1] + 1)
+    for x in _codec_elements(depth, w, Rng(depth * 10 + w)):
+        assert rings._kronecker_unpack(rings._kronecker_pack(x, widths), widths) == x, x
+
+
+def test_polynomial_gcd_at_the_edge_of_its_slots(monkeypatch):
+    # G (x - a) and G (x - a - k) with 2^(8w) = a mod k share k G(2^(8w)) at
+    # GCDHEU's first point, whose slots are then k G's coefficients: +half
+    # (read as -half and a carry), -half and half - 1 for w = 1, 2, 3
+    reads = []
+    unpack = rings._kronecker_unpack
+
+    def spy(h, widths):
+        digits = unpack(h, widths)
+        if widths:
+            reads.append((widths[0], digits))
+        return digits
+    monkeypatch.setattr(rings, "_kronecker_unpack", spy)
+    cases = [((64, 1), 2, 1), ((-64, 1), 2, 1), ((1, 1), 127, 1), ((1, 64), 2, 1),
+             ((128, 1), 256, 2), ((-128, 1), 256, 2), ((217, 1), 151, 2),
+             ((32768, 1), 256, 3), ((-32768, 1), 256, 3)]
+    for g, k, w in cases:
+        a = (1 << 8 * w) % k
+        f, h = ZX.mul(g, (-a, 1)), ZX.mul(g, (-a - k, 1))
+        reads.clear()
+        assert ZX.gcd(f, h) == tuple(rings._gcd_int_poly_euclid(list(f), list(h))) == g
+        width, digits = reads[0]
+        half = 1 << (8 * w - 1)
+        assert width == w and (max(digits) == half - 1 or min(digits) == -half), (g, digits)
+
+
+def test_polynomial_gcd_of_a_degree_300_pair():
+    rng = Rng(5)
+
+    def draw(deg, bits):
+        return tuple([rng.int_between(-2 ** bits, 2 ** bits) for _ in range(deg)]
+                     + [rng.int_between(1, 2 ** bits)])
+    g = draw(290, 88)
+    a, b = ZX.mul(g, draw(10, 8)), ZX.mul(g, draw(10, 8))
+    assert len(a) == len(b) == 301 and max(map(abs, a + b)).bit_length() >= 96
+    assert ZX.gcd(a, b) == tuple(rings._gcd_int_poly_euclid(list(a), list(b)))
+
+
 def test_counted_rational_polynomial_gcd_keeps_its_op_count():
     # a counted base takes the literal Euclid, whose ops are pinned
     counted = CountingRing(QQ)

@@ -9,10 +9,10 @@ import math
 from itertools import count, islice
 
 from . import poly
-from .elimination import (EchelonBasis, _jorbarsol_rows, det_field,
+from .elimination import (EchelonBasis, _jorbarsol_rows, _pivot_row, det_field,
                           det_fraction_free, jordan_bareiss)
-from .errors import (NOT_A_UNIT, AdjointVanishes, ExactDivisionFailed,
-                     IntegerNotInvertible)
+from .errors import (NOT_A_UNIT, AdjointVanishes, DimensionMismatch,
+                     ExactDivisionFailed, IntegerNotInvertible)
 from .matrix import DenseMatrix, mat_mul
 from .rings import FractionField, PolynomialRing, Ring, SeriesRing
 
@@ -318,10 +318,8 @@ def _hessenberg_reduce(ring, h):
     deferred = _native_dot(ring)
     for jp in range(n - 2):
         ip = jp + 1
-        ic = ip
-        while ic < n - 1 and ring.is_zero(h[ic][jp]):
-            ic += 1
-        if ring.is_zero(h[ic][jp]):
+        ic = _pivot_row(ring, h, ip, jp)
+        if ic is None:
             continue
         if ic > ip:
             h[ip], h[ic] = h[ic], h[ip]
@@ -449,6 +447,8 @@ def determinant(m):
     if spec.is_integral_domain:
         return det_fraction_free(m)
     # rings with zero divisors: fall back to a division-free determinant
+    if m.rows != m.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
     return charpoly_berkowitz(m).constant_term()
 
 

@@ -5,6 +5,7 @@ echelon basis over a field."""
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (NOT_A_UNIT, DimensionMismatch, ExactDivisionFailed,
                      NotSurjective, ZeroConnectedMinor)
@@ -61,17 +62,8 @@ def gauss_lu(a):
     strongly regular up to its rank.
     """
     ring = a.ring
-    m, n = a.rows, a.cols
     w = a.to_rows()
-    q = min(m, n)
-    rank = q
-    divide = ring.div if ring.spec.is_field else ring.exact_div
-    with _exact_division():
-        for p in range(q):
-            if ring.is_zero(w[p][p]):
-                rank = p
-                break
-            _gauss_step(ring, w, p, divide)
+    rank = _forward(ring, w, min(a.rows, a.cols), _gauss_step)[0]
     return LUFactors(*_split_lu(ring, w, rank), rank)
 
 
@@ -84,8 +76,37 @@ def _exact_division():
         raise ExactDivisionFailed(str(e))
 
 
-def _gauss_step(ring, w, p, divide):
-    """Eliminate column p below row p, keeping each multiplier in w[i][p]."""
+def _forward(ring, w, steps, step, search=False):
+    """Run step(ring, w, p) for p = 0 .. steps-1 on the rows w, each on a
+    nonzero pivot w[p][p]: with search, the first row below p that is
+    nonzero in column p is exchanged up to row p when w[p][p] is zero.
+    Stops at the first step without a pivot.  Returns (steps run, sign of
+    the row exchanges)."""
+    sign = 1
+    with _exact_division():
+        for p in range(steps):
+            i = _pivot_row(ring, w if search else w[:p + 1], p, p)  # else row p alone
+            if i is None:
+                return p, sign
+            if i != p:
+                w[p], w[i] = w[i], w[p]
+                sign = -sign
+            step(ring, w, p)
+    return steps, sign
+
+
+def _pivot_row(ring, w, p, j):
+    """The first row at or below row p that is nonzero in column j, or None."""
+    for i in range(p, len(w)):
+        if not ring.is_zero(w[i][j]):
+            return i
+    return None
+
+
+def _gauss_step(ring, w, p):
+    """Eliminate column p below row p, keeping each multiplier in w[i][p];
+    over a field the multipliers are quotients, otherwise exact ones."""
+    divide = ring.div if ring.spec.is_field else ring.exact_div
     rp = w[p]
     piv = rp[p]
     tail = rp[p + 1:]
@@ -108,32 +129,21 @@ def _split_lu(ring, w, rank):
     return DenseMatrix.from_rows(ring, lrows), DenseMatrix.from_rows(ring, urows)
 
 
-def _bareiss_step(ring, w, p, den):
+def _bareiss_step(ring, w, p):
     """One fraction-free step below pivot row p (Sylvester's identity):
-    w[i][j] = (piv*w[i][j] - w[i][p]*w[p][j]) / den for j > p.  Returns
-    the pivot, the next step's denominator."""
+    w[i][j] = (piv*w[i][j] - w[i][p]*w[p][j]) / den for j > p, where den
+    is the previous step's pivot w[p-1][p-1] (1 at p = 0).  Steps write
+    only the rows below their pivot and row exchanges move only rows at
+    or below it, so that entry is still in place."""
     rp = w[p]
     piv = rp[p]
+    den = w[p - 1][p - 1] if p else ring.one
     mul, sub, exact_div = ring.mul, ring.sub, ring.exact_div
-    with _exact_division():
-        for i in range(p + 1, len(w)):
-            wi = w[i]
-            coe = wi[p]
-            for j in range(p + 1, len(rp)):
-                wi[j] = exact_div(sub(mul(piv, wi[j]), mul(coe, rp[j])), den)
-    return piv
-
-
-def _row_pivot(ring, w, p):
-    """Bring a row with a nonzero entry in column p up to row p.  Returns
-    the sign of the row exchange (1 or -1), or 0 when there is none."""
-    if not ring.is_zero(w[p][p]):
-        return 1
     for i in range(p + 1, len(w)):
-        if not ring.is_zero(w[i][p]):
-            w[p], w[i] = w[i], w[p]
-            return -1
-    return 0
+        wi = w[i]
+        coe = wi[p]
+        for j in range(p + 1, len(rp)):
+            wi[j] = exact_div(sub(mul(piv, wi[j]), mul(coe, rp[j])), den)
 
 
 def lup_surjective(a):
@@ -157,7 +167,7 @@ def lup_surjective(a):
                 row[p], row[j] = row[j], row[p]
             perm[p], perm[j] = perm[j], perm[p]
             sign = -sign
-        _gauss_step(ring, w, p, ring.div)
+        _gauss_step(ring, w, p)
     return LUPFactors(*_split_lu(ring, w, m), perm, sign)
 
 
@@ -218,17 +228,7 @@ def jordan_bareiss(a):
     with exact division); returns the tableau of bordered minors."""
     ring = a.ring
     w = a.to_rows()
-    q = min(a.rows, a.cols)
-    rank = q
-    den = ring.one
-    for p in range(q - 1):
-        if ring.is_zero(w[p][p]):
-            rank = p
-            break
-        den = _bareiss_step(ring, w, p, den)
-    else:
-        if q > 0 and ring.is_zero(w[q - 1][q - 1]):
-            rank = q - 1
+    rank = _forward(ring, w, min(a.rows, a.cols), _bareiss_step)[0]
     return BareissTableau(DenseMatrix.from_rows(ring, w), rank)
 
 
@@ -238,41 +238,29 @@ def det_fraction_free(a):
     Intermediate divisions stay exact because every stored value is a
     minor of the row-permuted input.
     """
-    ring = a.ring
-    if a.rows != a.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = a.rows
-    w = a.to_rows()
-    den = ring.one
-    sign = 1
-    for p in range(n - 1):
-        s = _row_pivot(ring, w, p)
-        if not s:
-            return ring.zero
-        sign *= s
-        den = _bareiss_step(ring, w, p, den)
-    d = w[n - 1][n - 1]
-    return ring.neg(d) if sign < 0 else d
+    return _determinant(a, _bareiss_step, lambda ring, w: w[-1][-1])
 
 
 def det_field(a):
     """Determinant over a field by Gauss elimination with row pivoting."""
+    return _determinant(a, _gauss_step,
+                        lambda ring, w: reduce(ring.mul, [row[i] for i, row in enumerate(w)]))
+
+
+def _determinant(a, step, finish):
+    """det(a) from the n-1 steps of an elimination with row pivot search:
+    zero when a step finds no pivot, else finish(ring, rows) with the
+    sign of the row exchanges."""
     ring = a.ring
     if a.rows != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = a.rows
     w = a.to_rows()
-    sign = 1
-    for p in range(n - 1):
-        s = _row_pivot(ring, w, p)
-        if not s:
-            return ring.zero
-        sign *= s
-        _gauss_step(ring, w, p, ring.div)
-    det = w[0][0]
-    for i in range(1, n):
-        det = ring.mul(det, w[i][i])
-    return ring.neg(det) if sign < 0 else det
+    run, sign = _forward(ring, w, n - 1, step, search=True)
+    if run < n - 1:
+        return ring.zero
+    d = finish(ring, w)
+    return ring.neg(d) if sign < 0 else d
 
 
 class HankelMinorTable:
@@ -343,13 +331,12 @@ def _jorbarsol_rows(ring, w, skip_first_pivot):
     the Frobenius algorithm builds its Krylov matrix.
     """
     n = len(w)
-    den = ring.one
-    for p in range(1 if skip_first_pivot else 0, n - 1):
-        if ring.is_zero(w[p][p]):
-            raise ExactDivisionFailed("zero pivot at step %d" % (p + 1,))
-        den = _bareiss_step(ring, w, p, den)
     coeffs = [ring.zero] * n
     with _exact_division():
+        for p in range(1 if skip_first_pivot else 0, n - 1):
+            if ring.is_zero(w[p][p]):
+                raise ExactDivisionFailed("zero pivot at step %d" % (p + 1,))
+            _bareiss_step(ring, w, p)
         for p in range(n - 1, -1, -1):
             if p == 0 and skip_first_pivot:
                 lp = w[0][n]

@@ -1056,17 +1056,22 @@ def _divides(d, f):
 
 
 def _gcd_int_poly_euclid(a, b):
-    """_gcd_int_poly by Euclid over Q[x]: its fallback."""
-    qa = [Fraction(x) for x in a]
-    qb = [Fraction(x) for x in b]
-    while qb:
-        _, r = poly.divmod_poly(QQ, qa, qb)
-        qa, qb = qb, r
-    ints = _clear_denominators(qa)[0]
-    g = math.gcd(*ints)
-    prim = [c // g for c in ints]
-    cg = math.gcd(math.gcd(*a), math.gcd(*b))
-    return _make_positive([c * cg for c in prim])
+    """_gcd_int_poly by the primitive remainder sequence over Z: its
+    fallback.  Each pseudo-remainder lc(g)^(df-dg+1) f mod g is divided by
+    its content, so its coefficients are no larger than those of the
+    subresultant of its degree."""
+    if not a or not b:
+        return _make_positive(a or b)
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    f, g = [c // ca for c in a], [c // cb for c in b]
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        lead = g[-1] ** (len(f) - len(g) + 1)
+        r = poly.divmod_poly(ZZ, [c * lead for c in f], g)[1]
+        content = math.gcd(*r) or 1
+        f, g = g, [c // content for c in r]
+    return _make_positive([c * math.gcd(ca, cb) for c in f])
 
 
 def _gcd_rat_poly(a, b):

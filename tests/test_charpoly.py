@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from conftest import charpoly_cofactor, random_int_matrix
 from exactla import bench
 from exactla import charpoly as cp
-from exactla.errors import AdjointVanishes, ExactDivisionFailed
+from exactla.errors import AdjointVanishes, DimensionMismatch, ExactDivisionFailed
 from exactla.matrix import DenseMatrix, mat_mul
 from exactla.rings import (QQ, ZZ, CountingRing, IntegersMod,
                            MultiPolynomialRing, PolynomialRing, QuotientRing,
-                           RationalField)
+                           RationalField, ring_from_string)
 from exactla.rng import Rng
 
 F = IntegersMod(10007)
@@ -140,6 +140,16 @@ def test_constant_term_is_determinant(rng):
         det = det_fraction_free(a)
         for fn in (cp.charpoly_berkowitz, cp.charpoly_chistov, cp.charpoly_kaltofen):
             assert fn(a).constant_term() == det
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "zp:7", "zp:12"])
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+def test_determinant_of_a_non_square_matrix_is_a_dimension_mismatch(spec, rows, cols):
+    # Z/12 has zero divisors, so determinant takes its Berkowitz fallback
+    ring = ring_from_string(spec)
+    a = DenseMatrix(ring, rows, cols, [ring.from_int(k + 1) for k in range(rows * cols)])
+    with pytest.raises(DimensionMismatch, match="non-square"):
+        cp.determinant(a)
 
 
 def test_cayley_hamilton(rng):

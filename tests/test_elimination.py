@@ -1,5 +1,6 @@
 """Pivot decompositions against multiply-back and brute-force oracles."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _express_vec, cofactor_det
+from exactla.charpoly import charpoly_hessenberg
 from exactla.elimination import (EchelonBasis, bunch_hopcroft, det_field,
                                  det_fraction_free, dodgson_hankel, gauss_lu,
                                  jordan_bareiss, jorbarsol, lup_surjective)
@@ -14,7 +16,7 @@ from test_pinv import _gauss_rank
 from exactla.errors import (DimensionMismatch, ExactDivisionFailed, NotSurjective,
                             ZeroConnectedMinor)
 from exactla.matrix import DenseMatrix, mat_mul
-from exactla.rings import QQ, ZZ, IntegersMod, SeriesRing
+from exactla.rings import QQ, ZZ, CountingRing, IntegersMod, OpStats, SeriesRing
 
 F = IntegersMod(10007)
 
@@ -267,3 +269,75 @@ def test_echelon_basis_matches_gauss(case):
             inserted.append(v)
         assert basis.express(v) == _express_vec(ring, inserted, v)
     assert len(basis) == _gauss_rank(ring, DenseMatrix.from_rows(ring, rows))
+
+
+# ---------------------------------------------------------------------------
+# the counted streams of the pivot loops, pinned to what the separate loops
+# made before they shared _forward: OpStats, max_bits and the result (a
+# digest of it for a matrix) on inputs that take a row exchange (the search
+# passing a zero row), stop at a zero pivot, or are wide or tall
+
+PIN_ROWS = {
+    "exchange": [[0, 2, 1, 3], [0, 5, -1, 2], [4, 1, 0, -2], [1, -3, 2, 1]],
+    "singular": [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5], [1, 1, 1, 2]],
+    "deficient": [[2, 1, 3, 1], [1, 3, 2, 2], [3, 4, 5, 3], [1, 1, 1, 4]],
+    "wide": [[2, -1, 3, 0, 1], [1, 4, -2, 5, 3], [-3, 2, 1, 4, -1]],
+    "tall": [[3, 1, -2], [1, -4, 2], [2, 5, 1], [-1, 3, 4], [4, 0, -3]],
+    "jorbarsol": [[2, 1, -1, -3], [1, 3, 2, 1], [4, -2, 1, 11]],
+    "hessenberg": [[1, 2, 0, 1, 3], [0, 1, 2, 0, 1], [0, 3, 1, 2, 0],
+                   [2, 0, 1, 1, 2], [1, 1, 0, 3, 1]],
+}
+
+
+def _pin_ring(spec, rows):
+    """The ring and the rows over it: Q scales row i by 1/(i+1) and column
+    j by 1/(j+1), which keeps the zeros and the rank."""
+    if spec == "Q":
+        return QQ, [[Fraction(x, (i + 1) * (j + 1)) for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)]
+    ring = ZZ if spec == "Z" else F
+    return ring, [[ring.from_int(x) for x in row] for row in rows]
+
+
+def _digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+def _lu_digest(a):
+    f = gauss_lu(a)
+    return _digest(f.L.entries, f.U.entries, f.rank_detected)
+
+
+def _tableau_digest(a):
+    t = jordan_bareiss(a)
+    return _digest(t.matrix.entries, t.rank_detected)
+
+
+PIN_RUNS = {"det_field": det_field, "det_fraction_free": det_fraction_free,
+            "gauss_lu": _lu_digest, "jordan_bareiss": _tableau_digest,
+            "jorbarsol": jorbarsol, "hessenberg": lambda a: charpoly_hessenberg(a).digest()}
+ELIMINATION_PINS = (
+    ("det_field", "Q", "exchange", OpStats(0, 14, 17, 6, 0), 12, Fraction(-19, 576)),
+    ("det_field", "Q", "singular", OpStats(0, 13, 13, 5, 0), 5, Fraction(0, 1)),
+    ("det_field", "zp", "exchange", OpStats(0, 14, 17, 6, 0), 14, 9988),
+    ("det_field", "zp", "singular", OpStats(0, 13, 13, 5, 0), 14, 0),
+    ("det_fraction_free", "Z", "exchange", OpStats(0, 14, 28, 0, 14), 11, -19),
+    ("det_fraction_free", "Z", "singular", OpStats(0, 13, 26, 0, 13), 4, 0),
+    ("gauss_lu", "Q", "deficient", OpStats(0, 13, 13, 5, 0), 8, "2dcb55c180471585"),
+    ("gauss_lu", "Q", "wide", OpStats(0, 11, 11, 3, 0), 8, "e1ac664501fb4b4b"),
+    ("gauss_lu", "Q", "tall", OpStats(0, 11, 11, 9, 0), 10, "0fc819c8276f6b46"),
+    ("jordan_bareiss", "Z", "deficient", OpStats(0, 13, 26, 0, 13), 6, "a38b6b4bcbd8bb5a"),
+    ("jordan_bareiss", "Z", "wide", OpStats(0, 11, 22, 0, 11), 7, "4a5da2d82c40b2f7"),
+    ("jordan_bareiss", "Z", "tall", OpStats(0, 11, 22, 0, 11), 8, "94b2292c0aef4543"),
+    ("jorbarsol", "Z", "jorbarsol", OpStats(0, 11, 19, 0, 11), 8, [1, -2, 3]),
+    ("hessenberg", "Q", "hessenberg", OpStats(40, 22, 87, 4, 0), 44, "a72672f15fc6aebf"),
+)
+
+
+@pytest.mark.parametrize("run, spec, case, stats, max_bits, result", ELIMINATION_PINS)
+def test_counted_elimination_is_pinned(run, spec, case, stats, max_bits, result):
+    ring, rows = _pin_ring(spec, PIN_ROWS[case])
+    counted = CountingRing(ring, track_bits=True)
+    got = PIN_RUNS[run](DenseMatrix.from_rows(counted, rows))
+    assert (counted.stats, counted.max_bits, got) == (stats, max_bits, result)
+    assert PIN_RUNS[run](DenseMatrix.from_rows(ring, rows)) == result

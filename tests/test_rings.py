@@ -516,14 +516,15 @@ def test_polynomial_gcd_at_the_edge_of_its_slots(monkeypatch):
         assert width == w and (max(digits) == half - 1 or min(digits) == -half), (g, digits)
 
 
-def test_polynomial_gcd_of_a_degree_300_pair():
+@pytest.mark.parametrize("gcd_degree", [290, 250])
+def test_polynomial_gcd_of_a_degree_300_pair(gcd_degree):
     rng = Rng(5)
 
     def draw(deg, bits):
         return tuple([rng.int_between(-2 ** bits, 2 ** bits) for _ in range(deg)]
                      + [rng.int_between(1, 2 ** bits)])
-    g = draw(290, 88)
-    a, b = ZX.mul(g, draw(10, 8)), ZX.mul(g, draw(10, 8))
+    g = draw(gcd_degree, 88)
+    a, b = ZX.mul(g, draw(300 - gcd_degree, 8)), ZX.mul(g, draw(300 - gcd_degree, 8))
     assert len(a) == len(b) == 301 and max(map(abs, a + b)).bit_length() >= 96
     assert ZX.gcd(a, b) == tuple(rings._gcd_int_poly_euclid(list(a), list(b)))
 
